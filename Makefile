@@ -5,7 +5,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
+.PHONY: all build vet test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke mc-smoke clean
 
 # Module size for the pipeline byte-identical-output smoke. Big enough
 # to exercise the parallel fan-out, small enough for `make check`.
@@ -41,7 +41,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-check: build vet test test-race bench-mc-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
+check: build vet test test-race bench-mc-smoke mc-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
 
 # Model-checker scaling sweep (docs/MODEL-CHECKER.md): exhaustive
 # exploration of the litmus+seqlock corpus at 1..8 workers, appending
@@ -133,6 +133,15 @@ weaken-smoke:
 # measurement run.
 bench-mc-smoke:
 	$(GO) test -run none -bench BenchmarkMCScaling -benchtime=1x ./internal/bench
+
+# Worker-count contract of the model checker at the CLI
+# (docs/MODEL-CHECKER.md): a racy corpus program (with and without
+# replayed race witnesses) and a violated one, checked at -j 1 (the
+# reference) and -j 4, must agree on the verdict, the violation list
+# and the race reports; visit-order counters are ignored. Built binary, not `go run`, so exit codes survive intact.
+mc-smoke:
+	$(GO) build -o bin/ ./cmd/atomig-mc
+	sh scripts/mc-smoke.sh bin/atomig-mc bin
 
 # End-to-end smoke of the happens-before race detector (docs/RACES.md):
 # the seqlock-gap corpus program must be flagged racy before porting

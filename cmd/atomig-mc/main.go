@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	detectRaces := fs.Bool("race", false, "attach the happens-before race detector; races become a verdict")
 	stats := fs.Bool("stats", false, "print a human-readable exploration summary")
 	resume := fs.String("resume", "", "resume token(s) from a prior budget-exhausted run (comma-separated)")
-	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel exploration workers (1 = sequential)")
+	workers := fs.Int("j", runtime.GOMAXPROCS(0), "exploration workers splitting the depth-first frontier")
 	stressMode := fs.Bool("stress", false, "schedule-fuzzing stress sweep instead of exhaustive exploration (docs/STRESS.md)")
 	seeds := fs.Int("seeds", 256, "stress: schedules per scheduler mode")
 	sample := fs.Float64("sample", 1, "stress: fraction of plain locations the race detector observes (0,1]")
@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return fail(stderr, err)
 			}
-			opts.ResumeAll = append(opts.ResumeAll, token)
+			opts.Resume = append(opts.Resume, token)
 		}
 	}
 	res, err := mc.Check(mod, opts)
@@ -195,14 +195,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case mc.VerdictFail:
 		return 1
 	case mc.VerdictUnknown:
-		if len(res.ResumeTokens) > 0 {
-			encoded := make([]string, len(res.ResumeTokens))
-			for i, tok := range res.ResumeTokens {
+		if len(res.Resume) > 0 {
+			encoded := make([]string, len(res.Resume))
+			for i, tok := range res.Resume {
 				encoded[i] = tok.Encode()
 			}
 			fmt.Fprintf(stdout, "resume=%s\n", strings.Join(encoded, ","))
-		} else if res.Resume != nil {
-			fmt.Fprintf(stdout, "resume=%s\n", res.Resume.Encode())
 		}
 		return 3
 	case mc.VerdictRace:

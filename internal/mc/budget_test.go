@@ -58,11 +58,11 @@ func TestBudgetExhaustionIsUnknown(t *testing.T) {
 	if res.Reason != "execution budget exhausted" {
 		t.Errorf("reason = %q", res.Reason)
 	}
-	if res.Resume == nil {
-		t.Fatalf("no resume token on budget-exhausted Unknown")
+	if len(res.Resume) != 1 {
+		t.Fatalf("%d resume tokens on budget-exhausted Unknown, want 1", len(res.Resume))
 	}
-	if res.Resume.Executions() != 200 || res.Resume.Frontier() == 0 {
-		t.Errorf("token stats: execs=%d frontier=%d", res.Resume.Executions(), res.Resume.Frontier())
+	if tok := res.Resume[0]; tok.Executions() != 200 || tok.Frontier() == 0 {
+		t.Errorf("token stats: execs=%d frontier=%d", tok.Executions(), tok.Frontier())
 	}
 }
 
@@ -133,7 +133,7 @@ void reader(void) {
 `
 	run := func(src string, entries []string, slice int) (*Result, int) {
 		m := compile(t, src)
-		var token *ResumeToken
+		var tokens []*ResumeToken
 		rounds := 0
 		for {
 			rounds++
@@ -141,13 +141,13 @@ void reader(void) {
 				Model:      memmodel.ModelWMM,
 				Entries:    entries,
 				TimeBudget: time.Minute,
-				Resume:     token,
+				Resume:     tokens,
 			}
 			if slice > 0 {
 				// Each slice extends the execution budget by `slice`.
 				prev := 0
-				if token != nil {
-					prev = token.Executions()
+				if len(tokens) > 0 {
+					prev = tokens[0].Executions()
 				}
 				opts.MaxExecutions = prev + slice
 			}
@@ -155,10 +155,10 @@ void reader(void) {
 			if err != nil {
 				t.Fatalf("Check: %v", err)
 			}
-			if res.Resume == nil {
+			if len(res.Resume) == 0 {
 				return res, rounds
 			}
-			token = res.Resume
+			tokens = res.Resume
 			if rounds > 10_000 {
 				t.Fatalf("resume loop did not converge")
 			}
@@ -198,23 +198,24 @@ func TestResumeTokenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	if res.Verdict != VerdictUnknown || res.Resume == nil {
+	if res.Verdict != VerdictUnknown || len(res.Resume) != 1 {
 		t.Skipf("program fully explored in 5 executions; verdict %s", res.Verdict)
 	}
-	decoded, err := DecodeResume(res.Resume.Encode())
+	tok := res.Resume[0]
+	decoded, err := DecodeResume(tok.Encode())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if decoded.Executions() != res.Resume.Executions() || decoded.Frontier() != res.Resume.Frontier() {
+	if decoded.Executions() != tok.Executions() || decoded.Frontier() != tok.Frontier() {
 		t.Fatalf("round trip lost stats: %d/%d vs %d/%d",
 			decoded.Executions(), decoded.Frontier(),
-			res.Resume.Executions(), res.Resume.Frontier())
+			tok.Executions(), tok.Frontier())
 	}
 	cont, err := Check(m, Options{
 		Model:      memmodel.ModelWMM,
 		Entries:    []string{"reader", "writer"},
 		TimeBudget: time.Minute,
-		Resume:     decoded,
+		Resume:     []*ResumeToken{decoded},
 	})
 	if err != nil {
 		t.Fatalf("resumed Check: %v", err)

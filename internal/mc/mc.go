@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/diag"
 	"repro/internal/ir"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
@@ -44,28 +43,25 @@ type Options struct {
 	// check degrades to VerdictUnknown with a resume token instead of
 	// losing the work done so far.
 	Context context.Context
-	// Resume continues a budget-expired exploration from the token a
-	// previous Check returned. The token pins the depth-first frontier,
-	// so a resumed run follows exactly the trajectory the uninterrupted
-	// run would have taken.
-	Resume *ResumeToken
-	// StopAtFirst stops at the first violation (default: keep exploring
-	// and report up to 16 violations).
+	// Resume continues a budget-expired exploration from the tokens a
+	// previous Check returned in Result.Resume — one per remaining
+	// frontier fragment. The tokens pin the depth-first frontier, so with
+	// one worker a resumed run follows exactly the trajectory the
+	// uninterrupted run would have taken.
+	Resume []*ResumeToken
+	// StopAtFirst stops at the first violation (or, with DetectRaces, the
+	// first race). Without it the state space is explored completely.
 	StopAtFirst bool
 	// Traces replays each violating execution with tracing enabled and
 	// attaches the visible-operation counterexample.
 	Traces bool
-	// Workers selects the parallel frontier-split engine with that many
-	// workers sharing a lock-striped visited cache (0 = the sequential
-	// engine; callers wanting all cores pass runtime.GOMAXPROCS(0)).
+	// Workers is the number of exploration workers splitting the
+	// depth-first frontier and sharing a lock-striped visited cache
+	// (0 = 1; callers wanting all cores pass runtime.GOMAXPROCS(0)).
 	// On fully explored state spaces the verdict, the violation set and
 	// the race-report keys are identical for every worker count; see
 	// docs/MODEL-CHECKER.md.
 	Workers int
-	// ResumeAll seeds the exploration with multiple frontier fragments —
-	// the per-worker tokens an interrupted parallel run emits. A non-empty
-	// ResumeAll selects the parallel engine even when Workers is 0.
-	ResumeAll []*ResumeToken
 	// DetectRaces attaches a happens-before race detector to every
 	// explored execution. Data races become a first-class verdict
 	// (VerdictRace) and the detector's happens-before state is mixed
@@ -127,11 +123,6 @@ const (
 	VerdictRace
 )
 
-// VerdictPassBounded is the historical name of VerdictUnknown, kept so
-// older callers keep compiling; new code should branch on the
-// three-valued verdict directly.
-const VerdictPassBounded = VerdictUnknown
-
 func (v Verdict) String() string {
 	switch v {
 	case VerdictPass:
@@ -170,8 +161,9 @@ type Result struct {
 	// visited cache holds.
 	States int
 	// Frontier is the number of unexplored branches remaining on the
-	// depth-first stack when the check stopped — 0 on a fully explored
-	// state space, positive when a budget cut exploration short.
+	// depth-first stacks when the check stopped — 0 on a fully explored
+	// state space, positive when a budget or a StopAtFirst verdict cut
+	// exploration short.
 	Frontier int
 	// Elapsed is the wall-clock exploration time consumed.
 	Elapsed time.Duration
@@ -179,20 +171,15 @@ type Result struct {
 	// "execution budget exhausted", "canceled", or "step-truncated
 	// executions"); empty otherwise.
 	Reason string
-	// Resume continues the exploration where this check stopped; nil
-	// unless the verdict is VerdictUnknown with work remaining.
-	Resume *ResumeToken
-	// ResumeTokens carries one token per remaining frontier fragment
-	// when the parallel engine is interrupted (per-worker remainders
-	// plus undistributed queue fragments). Resume mirrors the single
-	// token when exactly one fragment remains.
-	ResumeTokens []*ResumeToken
-	// Workers is the worker count the check ran with (1 for the
-	// sequential engine).
+	// Resume continues the exploration where this check stopped: one
+	// token per remaining frontier fragment (interrupted workers'
+	// remainders plus undistributed queue fragments). Empty unless the
+	// verdict is VerdictUnknown with work remaining.
+	Resume []*ResumeToken
+	// Workers is the worker count the check ran with (>= 1).
 	Workers int
 	// ShardContention counts contended visited-shard lock acquisitions
-	// in the parallel engine (0 for -j 1: the single-worker cache skips
-	// locking entirely).
+	// (0 with one worker: the single-worker cache skips locking).
 	ShardContention int64
 	// VMResets and VMAllocs count how executions obtained their VM:
 	// recycled via vm.Reset versus freshly built with vm.New.
@@ -200,8 +187,8 @@ type Result struct {
 	VMAllocs int64
 }
 
-// maxReports caps the violations, counterexamples and race witnesses a
-// check retains, shared by the sequential loop and the parallel merge.
+// maxReports caps the distinct violations, counterexamples and race
+// witnesses the merge retains.
 const maxReports = 16
 
 // choice is one recorded nondeterministic decision.
@@ -330,202 +317,6 @@ func (d *dfs) PickRead(_ memmodel.Addr, eligible []int) int { return d.pick(len(
 // PickNondet implements vm.Controller.
 func (d *dfs) PickNondet(max int) int { return d.pick(max) }
 
-// Check explores the program's executions under the model and reports
-// whether any assertion can fail or any deadlock can occur.
-//
-// Check degrades gracefully: when a budget (time, executions) expires
-// or the context is canceled before the state space is exhausted, the
-// verdict is VerdictUnknown — never a false VerdictPass — and the
-// result carries exploration statistics plus a resume token that
-// continues the depth-first trajectory deterministically. Internal
-// panics are contained by the diag guard and returned as errors.
-func Check(m *ir.Module, opts Options) (res *Result, err error) {
-	defer diag.Guard("mc.Check", &err)
-	if opts.MaxExecutions == 0 {
-		opts.MaxExecutions = 1_000_000
-	}
-	if opts.MaxStepsPerExec == 0 {
-		opts.MaxStepsPerExec = 100_000
-	}
-	if opts.TimeBudget == 0 {
-		opts.TimeBudget = 10 * time.Second
-	}
-	if opts.Workers > 0 || len(opts.ResumeAll) > 0 {
-		return checkParallel(m, opts)
-	}
-	start := time.Now()
-	deadline := start.Add(opts.TimeBudget)
-	d := &dfs{}
-	res = &Result{Workers: 1}
-	c := newMCCounters(opts.Obs.RegistryOrNew())
-	base := c.baseline()
-	visited := make(mapCache)
-	if opts.Resume != nil {
-		d.seed(append([]choice(nil), opts.Resume.trace...), opts.Resume.floor)
-		c.execs.Add(int64(opts.Resume.executions))
-		c.pruned.Add(int64(opts.Resume.pruned))
-		c.truncated.Add(int64(opts.Resume.truncated))
-		res.Violations = append(res.Violations, opts.Resume.violations...)
-		res.Counterexamples = append(res.Counterexamples, opts.Resume.counterexamples...)
-		// Copy-on-resume: adopting the token's live map would make the
-		// token single-use (a second resume would see the first resume's
-		// states and prune its own frontier unsoundly).
-		for h := range opts.Resume.visited {
-			visited[h] = true
-		}
-	}
-	var det *race.Detector
-	if opts.DetectRaces {
-		det = race.New(opts.Model, race.Options{MaxReports: opts.MaxRaceReports, Obs: opts.Obs})
-	}
-	fullyExplored := false
-	stopped := ""
-	vopts := vm.Options{
-		Model:      opts.Model,
-		Entries:    opts.Entries,
-		Controller: d,
-		MaxSteps:   opts.MaxStepsPerExec,
-	}
-	if det != nil {
-		vopts.Hook = det
-	}
-	var v *vm.VM
-
-	// The sequential engine is one worker exploring one fragment: the
-	// whole tree. Its timeline mirrors the parallel engine's so a trace
-	// viewer shows the same span hierarchy either way.
-	trk := opts.Obs.Track("mc.worker-00")
-	c.active.Add(1)
-	defer c.active.Add(-1)
-	ws := trk.Begin("mc.worker")
-	defer ws.End()
-	c.fragsClaim.Inc()
-	fragBase := c.execs.Value()
-	fs := trk.Begin("mc.fragment")
-	defer func() {
-		n := c.execs.Value() - fragBase
-		c.fragExecs.Observe(n)
-		fs.Arg("executions", n).End()
-	}()
-
-	for {
-		switch {
-		case int(c.execs.Value()-base.execs) >= opts.MaxExecutions:
-			stopped = "execution budget exhausted"
-		case opts.Context != nil && opts.Context.Err() != nil:
-			stopped = "canceled"
-		case time.Now().After(deadline):
-			stopped = "time budget exhausted"
-		}
-		if stopped != "" {
-			break
-		}
-		if det != nil {
-			det.BeginExec()
-		}
-		// One VM serves the whole exploration: executions after the first
-		// recycle it through Reset instead of paying vm.New's allocations.
-		if v == nil {
-			if v, err = vm.New(m, vopts); err != nil {
-				return nil, err
-			}
-			c.vmAllocs.Inc()
-		} else {
-			if err = v.Reset(); err != nil {
-				return nil, err
-			}
-			c.vmResets.Inc()
-		}
-		violated, truncated, pruned := runOne(v, d, visited, det)
-		if d.corrupt {
-			return nil, fmt.Errorf("mc: resume token does not match this program, model, or harness")
-		}
-		c.execs.Inc()
-		if pruned {
-			c.pruned.Inc()
-		}
-		if truncated {
-			c.truncated.Inc()
-		}
-		if violated != "" {
-			res.Violations = append(res.Violations, violated)
-			if opts.Traces {
-				res.Counterexamples = append(res.Counterexamples, Counterexample{
-					Msg:    violated,
-					Events: replayTrace(m, opts, d),
-				})
-			}
-			if opts.StopAtFirst || len(res.Violations) >= maxReports {
-				stopped = "stopped at violation"
-				break
-			}
-		}
-		if det != nil && det.ExecFoundNew() {
-			if opts.Traces && len(res.RaceWitnesses) < maxReports {
-				reports := det.Reports()
-				res.RaceWitnesses = append(res.RaceWitnesses, Counterexample{
-					Msg:    "data race: " + reports[len(reports)-1].Loc.String(),
-					Events: replayTrace(m, opts, d),
-				})
-			}
-			if opts.StopAtFirst && violated == "" {
-				stopped = "stopped at race"
-				break
-			}
-		}
-		if !d.backtrack() {
-			fullyExplored = true
-			break
-		}
-		c.backtracks.Inc()
-	}
-
-	c.states.Add(int64(len(visited)))
-	c.fill(res, base)
-	res.States = len(visited)
-	res.Frontier = d.frontier()
-	res.Elapsed = time.Since(start)
-	if det != nil {
-		res.Races = det.Reports()
-	}
-	switch {
-	case len(res.Violations) > 0:
-		res.Verdict = VerdictFail
-	case len(res.Races) > 0:
-		res.Verdict = VerdictRace
-	case fullyExplored && res.Truncated == 0:
-		res.Verdict = VerdictPass
-	default:
-		res.Verdict = VerdictUnknown
-		if stopped == "" {
-			stopped = "step-truncated executions"
-		}
-	}
-	if res.Verdict == VerdictUnknown || res.Verdict == VerdictFail {
-		res.Reason = stopped
-	}
-	// Budget and cancellation stops happen at the top of the loop, after
-	// backtrack prepared the next unexplored execution — exactly the
-	// point a resumed Check can pick up from. (A violation-cap stop
-	// leaves the trace on the violating execution and the verdict is
-	// already final, so it gets no token.)
-	if !fullyExplored && stopped != "" && stopped != "stopped at violation" &&
-		stopped != "stopped at race" && stopped != "step-truncated executions" {
-		res.Resume = &ResumeToken{
-			trace:           append([]choice(nil), d.trace...),
-			floor:           d.floor,
-			visited:         visited,
-			executions:      res.Executions,
-			pruned:          res.Pruned,
-			truncated:       res.Truncated,
-			violations:      append([]string(nil), res.Violations...),
-			counterexamples: append([]Counterexample(nil), res.Counterexamples...),
-		}
-		res.ResumeTokens = []*ResumeToken{res.Resume}
-	}
-	return res, nil
-}
-
 // runOne drives a single execution to completion, pruning on visited
 // states. It returns a violation message (or ""), whether the step
 // budget truncated the run, and whether the visited cache pruned it.
@@ -534,7 +325,7 @@ func Check(m *ir.Module, opts Options) (res *Result, err error) {
 // state through different synchronization histories must not be
 // collapsed, or a pruned branch could hide a race the surviving branch
 // happens to order.
-func runOne(v *vm.VM, d *dfs, visited stateCache, det *race.Detector) (violation string, truncated, pruned bool) {
+func runOne(v *vm.VM, d *dfs, visited *shardMap, det *race.Detector) (violation string, truncated, pruned bool) {
 	for !v.Halted() {
 		run := v.Runnable()
 		if len(run) == 0 {
@@ -584,7 +375,9 @@ func replayTrace(m *ir.Module, opts Options, d *dfs) []vm.TraceEvent {
 	if err != nil {
 		return nil
 	}
-	// No visited pruning: we want the full execution.
-	runOne(v, replay, make(mapCache), nil)
+	// A witness recorded on a pruned execution ends at the prune point,
+	// so its replay can run past the prefix; a throwaway cache lets it
+	// carry on instead of pruning against the check's visited states.
+	runOne(v, replay, newShardMap(1, nil), nil)
 	return v.Result().Trace
 }

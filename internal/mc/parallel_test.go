@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 )
@@ -40,10 +41,11 @@ func dedupSorted(s []string) []string {
 	return out
 }
 
-// TestParallelDeterminism is the issue's core acceptance criterion:
-// across worker counts 1, 2 and 8 (and against the sequential engine)
-// every litmus program yields an identical verdict, violation set and
-// race-report key set, in both plain and race-detecting mode.
+// TestParallelDeterminism is the engine's core determinism contract:
+// across worker counts 1, 2 and 8 every litmus program yields an
+// identical verdict, violation set and race-report key set, in both
+// plain and race-detecting mode. The -j 1 run is the reference, and
+// the Workers-0 default must be exactly that run.
 func TestParallelDeterminism(t *testing.T) {
 	programs := []struct {
 		name    string
@@ -102,32 +104,35 @@ void reader(void) {
 						MaxExecutions: 500_000, TimeBudget: time.Minute,
 						DetectRaces: races,
 					}
-					seqOpts := base
-					seq, err := Check(m, seqOpts)
-					if err != nil {
-						t.Fatalf("sequential Check: %v", err)
-					}
-					if seq.Verdict == VerdictUnknown {
-						t.Fatalf("sequential exploration did not finish: %s", seq.Reason)
-					}
-					want := verdictFingerprint(seq)
-					for _, j := range []int{1, 2, 8} {
+					var ref *Result
+					var want string
+					for _, j := range []int{1, 0, 2, 8} {
 						opts := base
 						opts.Workers = j
 						res, err := Check(m, opts)
 						if err != nil {
 							t.Fatalf("-j %d Check: %v", j, err)
 						}
-						if res.Workers != j {
+						if res.Workers != max(1, j) {
 							t.Errorf("-j %d: Result.Workers = %d", j, res.Workers)
+						}
+						if ref == nil {
+							if res.Verdict == VerdictUnknown {
+								t.Fatalf("-j 1 exploration did not finish: %s", res.Reason)
+							}
+							ref, want = res, verdictFingerprint(res)
+							continue
 						}
 						if got := verdictFingerprint(res); got != want {
 							t.Errorf("-j %d fingerprint drift:\n got %s\nwant %s", j, got, want)
 						}
-						// A single parallel worker never splits, so it
-						// explores exactly the sequential DFS.
-						if j == 1 && res.Executions != seq.Executions {
-							t.Errorf("-j 1 executions = %d, sequential = %d", res.Executions, seq.Executions)
+						// The default is one worker, which never splits:
+						// the same depth-first search, counter for counter.
+						if j == 0 && (res.Executions != ref.Executions ||
+							res.Pruned != ref.Pruned || res.States != ref.States) {
+							t.Errorf("Workers 0 explored %d/%d/%d (executions/pruned/states), -j 1 %d/%d/%d",
+								res.Executions, res.Pruned, res.States,
+								ref.Executions, ref.Pruned, ref.States)
 						}
 					}
 				})
@@ -187,14 +192,14 @@ func TestResumeTokenReusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Resume == nil {
+	if len(first.Resume) == 0 {
 		t.Fatal("tiny execution budget did not produce a resume token")
 	}
-	token := first.Resume
+	tokens := first.Resume
 	resume := func() *Result {
 		res, err := Check(m, Options{
 			Model: memmodel.ModelWMM, Entries: []string{"reader", "writer"},
-			TimeBudget: time.Minute, Resume: token,
+			TimeBudget: time.Minute, Resume: tokens,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -211,7 +216,7 @@ func TestResumeTokenReusable(t *testing.T) {
 }
 
 // TestParallelResume: an interrupted parallel run hands back one token
-// per remaining frontier fragment; feeding them all to ResumeAll
+// per remaining frontier fragment; feeding them all back to Resume
 // finishes the exploration with the uninterrupted verdict.
 func TestParallelResume(t *testing.T) {
 	m := compile(t, mpSrc)
@@ -236,7 +241,7 @@ func TestParallelResume(t *testing.T) {
 	}
 	rounds := 0
 	for res.Verdict == VerdictUnknown {
-		if len(res.ResumeTokens) == 0 {
+		if len(res.Resume) == 0 {
 			t.Fatalf("unknown verdict (%s) without resume tokens", res.Reason)
 		}
 		if rounds++; rounds > 1000 {
@@ -246,7 +251,7 @@ func TestParallelResume(t *testing.T) {
 		res, err = Check(m, Options{
 			Model: memmodel.ModelWMM, Entries: entries,
 			MaxExecutions: prev + 10, TimeBudget: time.Minute, Workers: 2,
-			ResumeAll: res.ResumeTokens,
+			Resume: res.Resume,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -345,10 +350,10 @@ func TestShardMap(t *testing.T) {
 	}
 }
 
-// TestSequentialDispatch: Workers 0 keeps the legacy engine (Workers
-// reported as 1) and a non-empty ResumeAll selects the parallel engine
-// even with Workers unset.
-func TestSequentialDispatch(t *testing.T) {
+// TestSingleWorkerDefault: Workers 0 runs the engine with one worker,
+// which reuses one VM for every execution and never contends on the
+// visited cache.
+func TestSingleWorkerDefault(t *testing.T) {
 	m := compile(t, mpSrc)
 	res, err := Check(m, Options{
 		Model: memmodel.ModelWMM, Entries: []string{"reader", "writer"},
@@ -358,15 +363,90 @@ func TestSequentialDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Workers != 1 {
-		t.Errorf("sequential Result.Workers = %d, want 1", res.Workers)
+		t.Errorf("default Result.Workers = %d, want 1", res.Workers)
 	}
 	if res.ShardContention != 0 {
-		t.Errorf("sequential ShardContention = %d, want 0", res.ShardContention)
+		t.Errorf("single-worker ShardContention = %d, want 0", res.ShardContention)
 	}
 	if res.VMAllocs != 1 {
-		t.Errorf("sequential VMAllocs = %d, want 1 (VM reuse)", res.VMAllocs)
+		t.Errorf("single-worker VMAllocs = %d, want 1 (VM reuse)", res.VMAllocs)
 	}
 	if res.VMResets != int64(res.Executions-1) {
-		t.Errorf("sequential VMResets = %d, want executions-1 = %d", res.VMResets, res.Executions-1)
+		t.Errorf("single-worker VMResets = %d, want executions-1 = %d", res.VMResets, res.Executions-1)
+	}
+}
+
+// TestFrontierOnVerdictStop: a StopAtFirst halt is final (no resume
+// tokens) but must still report the branches it left unexplored — a
+// zero Frontier would claim the space was fully explored.
+func TestFrontierOnVerdictStop(t *testing.T) {
+	p := corpus.Get("ck_sequence")
+	m, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []int{1, 2} {
+		res, err := Check(m, Options{
+			Model: memmodel.ModelWMM, Entries: p.MCEntries,
+			StopAtFirst: true, TimeBudget: time.Minute, Workers: j,
+		})
+		if err != nil {
+			t.Fatalf("-j %d: %v", j, err)
+		}
+		if res.Verdict != VerdictFail || res.Reason != "stopped at violation" {
+			t.Fatalf("-j %d: verdict %s (%s), want violated at the first violation", j, res.Verdict, res.Reason)
+		}
+		if len(res.Resume) != 0 {
+			t.Errorf("-j %d: verdict stop emitted %d resume tokens", j, len(res.Resume))
+		}
+		switch {
+		case j == 1 && res.Frontier != 36:
+			// One worker is a plain depth-first search: the first
+			// violation is always the same execution, with 36 branches
+			// left on its stack.
+			t.Errorf("-j 1 frontier = %d after %d executions, want 36", res.Frontier, res.Executions)
+		case res.Frontier == 0:
+			t.Errorf("-j %d frontier = 0 after %d executions, want unexplored branches", j, res.Executions)
+		}
+	}
+}
+
+// TestVerdictStopAfterBudgetStop: when a budget stop wins the race with
+// a worker's verdict stop, the stop is resumable, so that worker's
+// remainder must start at an unexplored execution rather than at the
+// violating leaf it has already explored.
+func TestVerdictStopAfterBudgetStop(t *testing.T) {
+	leaf := func() *dfs {
+		return &dfs{trace: []choice{{options: 2}, {options: 3, taken: 1}}}
+	}
+	budget := func() *engine {
+		e := &engine{q: newWorkQueue()}
+		e.halt("execution budget exhausted")
+		return e
+	}
+
+	// The verdict stop wins: the remainder keeps the explored leaf and
+	// counts its untaken alternatives (0/2 and 2/3).
+	e, w := &engine{q: newWorkQueue()}, &mcWorker{}
+	e.verdictStop(w, leaf(), "stopped at violation")
+	if e.reason != "stopped at violation" || len(w.tokens) != 1 || w.tokens[0].Frontier() != 2 {
+		t.Fatalf("winning verdict stop: reason %q, %d tokens", e.reason, len(w.tokens))
+	}
+
+	// The budget stop won: the token starts at the next execution.
+	e, w = budget(), &mcWorker{}
+	e.verdictStop(w, leaf(), "stopped at violation")
+	if e.reason != "execution budget exhausted" || len(w.tokens) != 1 {
+		t.Fatalf("losing verdict stop: reason %q, %d tokens", e.reason, len(w.tokens))
+	}
+	if got := w.tokens[0].trace[1].taken; got != 2 {
+		t.Errorf("resumable token starts at choice %d/3, want the unexplored 2/3", got)
+	}
+
+	// Nothing left to explore: no token at all.
+	e, w = budget(), &mcWorker{}
+	e.verdictStop(w, &dfs{trace: []choice{{options: 1}}}, "stopped at race")
+	if len(w.tokens) != 0 {
+		t.Errorf("exhausted fragment left %d tokens", len(w.tokens))
 	}
 }

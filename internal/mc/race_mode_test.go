@@ -101,26 +101,42 @@ func TestRaceModeCleanProgram(t *testing.T) {
 
 // TestRaceWitnessReplay: with traces on, each newly racy execution is
 // replayed into a visible-operation witness through the same
-// counterexample path violations use.
+// counterexample path violations use. A witness may come from an
+// execution the visited cache pruned — with several workers a race can
+// be new to one worker's detector while another worker already cached
+// the state — so its trace ends before the execution does; the replay
+// must run past that prefix and still yield a witness at every worker
+// count.
 func TestRaceWitnessReplay(t *testing.T) {
-	m := compileCorpus(t, "lb")
-	res, err := Check(m, Options{
-		Model: memmodel.ModelWMM, Entries: []string{"main_thread"},
-		DetectRaces: true, Traces: true,
-		MaxExecutions: 50_000, TimeBudget: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("Check: %v", err)
-	}
-	if len(res.Races) == 0 {
-		t.Fatal("lb reported no races")
-	}
-	if len(res.RaceWitnesses) == 0 {
-		t.Fatal("no race witnesses replayed")
-	}
-	for _, w := range res.RaceWitnesses {
-		if len(w.Events) == 0 {
-			t.Fatalf("race witness %q has no events", w.Msg)
+	for _, tc := range []struct {
+		prog    string
+		entries []string
+	}{
+		{"lb", []string{"main_thread"}},
+		{"seqlock-gap", []string{"reader", "writer"}},
+		{"mp", []string{"reader", "writer"}},
+	} {
+		m := compileCorpus(t, tc.prog)
+		for _, workers := range []int{0, 2, 4} {
+			res, err := Check(m, Options{
+				Model: memmodel.ModelWMM, Entries: tc.entries, Workers: workers,
+				DetectRaces: true, Traces: true,
+				MaxExecutions: 300_000, TimeBudget: 20 * time.Second,
+			})
+			if err != nil {
+				t.Fatalf("%s -j %d: Check: %v", tc.prog, workers, err)
+			}
+			if len(res.Races) == 0 {
+				t.Fatalf("%s -j %d: no races reported", tc.prog, workers)
+			}
+			if len(res.RaceWitnesses) == 0 {
+				t.Fatalf("%s -j %d: no race witnesses replayed", tc.prog, workers)
+			}
+			for _, w := range res.RaceWitnesses {
+				if len(w.Events) == 0 {
+					t.Fatalf("%s -j %d: race witness %q has no events", tc.prog, workers, w.Msg)
+				}
+			}
 		}
 	}
 }

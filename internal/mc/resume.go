@@ -8,9 +8,11 @@ import (
 
 // ResumeToken pins the depth-first exploration frontier of a
 // budget-expired Check so a later Check can continue where it stopped
-// instead of re-exploring from scratch. Tokens are deterministic: the
-// interrupted-and-resumed exploration visits executions in exactly the
-// order the uninterrupted run would have.
+// instead of re-exploring from scratch. Each token pins one frontier
+// fragment; an interrupted check returns one per remaining fragment and
+// a resumed check takes them all. Tokens are deterministic: with one
+// worker the interrupted-and-resumed exploration visits executions in
+// exactly the order the uninterrupted run would have.
 //
 // A token passed within the same process also carries the visited-state
 // cache and the running statistics, so resumed counters continue
@@ -20,9 +22,9 @@ import (
 // changes the verdict.
 type ResumeToken struct {
 	trace []choice
-	// floor is the fragment's immutable prefix length: a token from a
-	// parallel worker pins only the exploration fragment that worker
-	// owned (see dfs.floor); sequential whole-tree tokens have floor 0.
+	// floor is the fragment's immutable prefix length: a token pins only
+	// the exploration fragment its worker owned (see dfs.floor);
+	// whole-tree tokens have floor 0.
 	floor      int
 	visited    map[uint64]bool
 	executions int

@@ -115,7 +115,14 @@ func (w *weakener) verify(m *ir.Module, role checkRole) (res *mc.Result, el time
 		res, el, err = w.stressCheck(m, seeds, workers)
 		return res, el, true, err
 	}
-	res, el, err = w.check(m)
+	// An exhaustive check stops at its first finding when that finding
+	// alone settles the outcome. Without race detection any violation
+	// fails the baseline or rejects a candidate. With it, the baseline
+	// must collect its full race-key set, and so must a candidate of a
+	// racy baseline, whose races are compared key by key; a candidate of
+	// a verified baseline is rejected by any violation or race.
+	stop := !w.opts.DetectRaces || (role != roleBaseline && w.base.Verdict == mc.VerdictPass)
+	res, el, err = w.check(m, stop)
 	return res, el, false, err
 }
 

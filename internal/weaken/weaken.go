@@ -822,11 +822,15 @@ func (w *weakener) tally(ok bool) {
 }
 
 // check runs one bounded re-verification and returns its wall clock
-// alongside the result. The sequential engine keeps each check
+// alongside the result. Each check runs on one checker worker, so it is
 // deterministic; parallelism lives at the candidate level. It mutates
 // nothing on the weakener beyond the (atomic) latency histogram —
 // callers account the work via note, sequentially.
-func (w *weakener) check(m *ir.Module) (*mc.Result, time.Duration, error) {
+//
+// stopAtFirst ends the check at its first violation or race; the
+// caller asks for it only where that cannot change a decision (see
+// verify).
+func (w *weakener) check(m *ir.Module, stopAtFirst bool) (*mc.Result, time.Duration, error) {
 	t0 := time.Now()
 	res, err := mc.Check(m, mc.Options{
 		Model:           w.opts.Model,
@@ -836,6 +840,7 @@ func (w *weakener) check(m *ir.Module) (*mc.Result, time.Duration, error) {
 		TimeBudget:      w.opts.TimeBudget,
 		Context:         w.opts.Context,
 		DetectRaces:     w.opts.DetectRaces,
+		StopAtFirst:     stopAtFirst,
 	})
 	if err != nil {
 		return nil, 0, err
