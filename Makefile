@@ -41,7 +41,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-check: build vet test test-race bench-mc-smoke mc-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
+check: build vet test test-race bench-mc-smoke mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
 
 # Model-checker scaling sweep (docs/MODEL-CHECKER.md): exhaustive
 # exploration of the litmus+seqlock corpus at 1..8 workers, appending
@@ -145,8 +145,12 @@ mc-smoke:
 
 # End-to-end smoke of the happens-before race detector (docs/RACES.md):
 # the seqlock-gap corpus program must be flagged racy before porting
-# and verified race-free after, through every CLI surface. Built
-# binaries, not `go run`, so exit codes survive intact.
+# and verified race-free after, through every CLI surface. The stress
+# sweep (docs/STRESS.md) must print the same findings and reports at
+# -j 1 and -j 4 (only the `stress sweep:` header, which carries the
+# worker count and rate, may differ), and -stress must refuse -model sc
+# as a usage error on both CLIs. Built binaries, not `go run`, so exit
+# codes survive intact.
 race-smoke:
 	$(GO) build -o bin/ ./cmd/atomig ./cmd/atomig-mc ./cmd/atomig-run
 	bin/atomig -explain-races -corpus seqlock-gap
@@ -154,6 +158,13 @@ race-smoke:
 	bin/atomig-mc -race -stats -port -corpus seqlock-gap
 	bin/atomig-run -race -model wmm -sched reorder -corpus seqlock-gap; test $$? -eq 3
 	bin/atomig-run -race -model wmm -sched reorder -port -corpus seqlock-gap
+	bin/atomig-run -corpus lb -mc -model wmm -stress -seeds 4 -j 1 > bin/race-smoke-j1.raw; test $$? -eq 3
+	bin/atomig-run -corpus lb -mc -model wmm -stress -seeds 4 -j 4 > bin/race-smoke-j4.raw; test $$? -eq 3
+	grep -v "^stress sweep:" bin/race-smoke-j1.raw > bin/race-smoke-j1.out
+	grep -v "^stress sweep:" bin/race-smoke-j4.raw > bin/race-smoke-j4.out
+	cmp bin/race-smoke-j1.out bin/race-smoke-j4.out
+	bin/atomig-run -corpus mp -mc -model sc -stress -seeds 4; test $$? -eq 2
+	bin/atomig-mc -corpus mp -model sc -stress -seeds 4; test $$? -eq 2
 
 # End-to-end smoke of the observability exports (docs/OBSERVABILITY.md):
 # a parallel ported check must emit a metrics snapshot and a Chrome

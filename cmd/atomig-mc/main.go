@@ -12,8 +12,9 @@
 // schedule-fuzzing stress engine (docs/STRESS.md): a seeded sweep of
 // controlled-random schedules with the race detector sampling -sample
 // of the plain locations — no verdict proof, but production-scale
-// throughput. -minimize reduces the first race found to a
-// litmus-sized program and confirms it exhaustively:
+// throughput. It runs under -model tso or wmm only (-model sc with
+// -stress is a usage error). -minimize reduces the first race found to
+// a litmus-sized program and confirms it exhaustively:
 //
 //	atomig-mc -stress -seeds 500 -sample 0.25 -j 8 -entries t0,t1 big.c
 //	atomig-mc -stress -minimize -corpus seqlock-gap
@@ -29,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,6 +78,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *stressMode && *model == "sc" {
+		return fail(stderr, errStressSC)
 	}
 
 	// -stats also reads the registry, so it forces a provider even when
@@ -348,6 +353,10 @@ func load(corpusName, entries string, args []string, jobs int, prov *obs.Provide
 	}
 	return res.Module, strings.Split(entries, ","), nil
 }
+
+// errStressSC rejects -model sc with -stress: the stress engine reads
+// a zero model as WMM, so an SC request would silently run WMM.
+var errStressSC = errors.New("-stress does not support -model sc: pass -model tso or -model wmm")
 
 func fail(stderr io.Writer, err error) int {
 	fmt.Fprintln(stderr, "atomig-mc:", err)

@@ -297,3 +297,20 @@ func TestRaceLosesToViolation(t *testing.T) {
 		t.Errorf("expected violated verdict plus race reports:\n%s", stdout)
 	}
 }
+
+// -stress runs under TSO or WMM only. The stress engine reads a zero
+// model as WMM, so -model sc must be refused as a usage error rather
+// than printing model=sc next to a WMM-only violation.
+func TestStressRejectsSC(t *testing.T) {
+	code, stdout, stderr := runMC(t, "-corpus", "mp", "-model", "sc", "-stress", "-seeds", "4")
+	if code != 2 {
+		t.Fatalf("-model sc -stress: exit %d, want 2\n%s", code, stdout)
+	}
+	if !strings.Contains(stderr, "-model tso or -model wmm") {
+		t.Errorf("stderr does not name the accepted models:\n%s", stderr)
+	}
+	code, stdout, stderr = runMC(t, "-corpus", "mp", "-model", "tso", "-stress", "-seeds", "4")
+	if code != 4 || !strings.Contains(stdout, "model=tso") {
+		t.Fatalf("-model tso -stress: exit %d, want 4 with model=tso\n%s%s", code, stdout, stderr)
+	}
+}

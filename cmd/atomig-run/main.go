@@ -9,15 +9,20 @@
 //	atomig-run -corpus mp -model wmm -sched starve -watchdog
 //	atomig-run -corpus memcached -port -profile   # port, then profile
 //	atomig-run -corpus mp -model wmm -stress -seeds 500 -j 8
+//	atomig-run -corpus lb -mc -model wmm -stress -seeds 4  # 4 schedules per mode
 //	atomig-run -entries main_thread file.c
 //
 // Exit codes: 0 the execution completed, 1 the execution failed (assert
 // failure, deadlock, or step-budget exhaustion), 2 usage or internal
 // error, 3 the execution completed but -race reported data races (an
-// execution failure wins when both apply).
+// execution failure wins when both apply). -stress, the schedule-grid
+// sweep (docs/STRESS.md), uses the same codes over the whole sweep; it
+// runs under -model tso or wmm only, so -model sc (the default) with
+// -stress is a usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,15 +62,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profile := fs.Bool("profile", false, "print the per-function cycle profile")
 	detectRaces := fs.Bool("race", false, "attach the happens-before race detector and report data races")
 	mcHarness := fs.Bool("mc", false, "use the corpus program's model-checking harness instead of the perf harness")
-	sweep := fs.Bool("sweep", false, "race-sweep every scheduler mode instead of one seeded run (implies -race)")
-	stressMode := fs.Bool("stress", false, "stress-sweep the schedule grid on the plain-execution fast path (docs/STRESS.md; implies -race)")
-	sweepSeeds := fs.Int("seeds", 0, "seeds per scheduler mode (0 = 4 under -sweep, 256 under -stress)")
-	sample := fs.Float64("sample", 1, "fraction of plain locations the detector observes under -stress (0,1]")
-	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel workers for -sweep")
+	stressMode := fs.Bool("stress", false, "stress-sweep every scheduler mode instead of one seeded run (docs/STRESS.md; implies -race; needs -model tso or wmm)")
+	sweepSeeds := fs.Int("seeds", 0, "stress: schedules per scheduler mode (0 = 256)")
+	sample := fs.Float64("sample", 1, "stress: fraction of plain locations the detector observes (0,1]")
+	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel workers for the frontend and -stress")
 	var of obs.CLIFlags
 	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *stressMode && *model == "sc" {
+		return fail(stderr, errStressSC)
 	}
 
 	prov, err := of.Provider(false, stderr)
@@ -121,13 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *stressMode {
 		return runStress(stdout, stderr, mod, mm, entryList, *sweepSeeds, *sample, *maxSteps, *workers, prov)
-	}
-	if *sweep {
-		seeds := *sweepSeeds
-		if seeds == 0 {
-			seeds = 4
-		}
-		return runSweep(stdout, stderr, mod, mm, entryList, seeds, *maxSteps, *workers, prov)
 	}
 
 	var det *race.Detector
@@ -192,41 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if det != nil && det.Races() > 0 {
-		return 3
-	}
-	return 0
-}
-
-// runSweep fans a full race sweep (every scheduler mode x seeds) out
-// across the -j workers; results are worker-count-invariant, so -j only
-// changes the wall-clock time.
-func runSweep(stdout, stderr io.Writer, mod *ir.Module, mm memmodel.Model, entryList []string, seeds int, maxSteps int64, workers int, prov *obs.Provider) int {
-	res, err := race.Sweep(mod, race.SweepOptions{
-		Model:    mm,
-		Entries:  entryList,
-		Seeds:    seeds,
-		MaxSteps: maxSteps,
-		Workers:  workers,
-		Obs:      prov,
-	})
-	if err != nil {
-		return fail(stderr, err)
-	}
-	fmt.Fprintf(stdout, "race sweep: %d executions across %d scheduler modes (%d workers)\n",
-		res.Executions, len(vm.AllSchedModes()), workers)
-	for _, v := range res.Violations {
-		fmt.Fprintf(stdout, "violation: %s\n", v)
-	}
-	if n := res.Detector.Races(); n == 0 {
-		fmt.Fprintln(stdout, "races: none")
-	} else {
-		fmt.Fprintf(stdout, "races: %d distinct\n", n)
-		fmt.Fprint(stdout, race.FormatReports(res.Races()))
-	}
-	if len(res.Violations) > 0 {
-		return 1
-	}
-	if res.Detector.Races() > 0 {
 		return 3
 	}
 	return 0
@@ -318,6 +283,10 @@ func load(corpusName, entries string, mcHarness bool, args []string, jobs int, p
 	}
 	return res.Module, strings.Split(entries, ","), 0, nil
 }
+
+// errStressSC rejects -model sc with -stress: the stress engine reads
+// a zero model as WMM, so an SC request would silently run WMM.
+var errStressSC = errors.New("-stress does not support -model sc: pass -model tso or -model wmm")
 
 func fail(stderr io.Writer, err error) int {
 	fmt.Fprintln(stderr, "atomig-run:", err)

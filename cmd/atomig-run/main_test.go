@@ -130,3 +130,26 @@ func TestRaceFlagExitCode(t *testing.T) {
 		t.Errorf("stdout lacks races: none:\n%s", stdout)
 	}
 }
+
+// -stress runs under TSO or WMM only. The stress engine reads a zero
+// model as WMM, so -model sc (also the default) must be refused as a
+// usage error instead of silently sweeping WMM.
+func TestStressRejectsSC(t *testing.T) {
+	for _, args := range [][]string{
+		{"-corpus", "mp", "-mc", "-stress", "-seeds", "4"},
+		{"-corpus", "mp", "-mc", "-model", "sc", "-stress", "-seeds", "4"},
+	} {
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 2 {
+			t.Fatalf("%v: exit %d, want 2\n%s", args, code, stdout)
+		}
+		if !strings.Contains(stderr, "-model tso or -model wmm") {
+			t.Errorf("%v: stderr does not name the accepted models:\n%s", args, stderr)
+		}
+	}
+	// TSO hides mp's reordering but not its plain-access races.
+	code, stdout, stderr := runCLI(t, "-corpus", "mp", "-mc", "-model", "tso", "-stress", "-seeds", "4")
+	if code != 3 {
+		t.Fatalf("-model tso -stress: exit %d, want 3\n%s%s", code, stdout, stderr)
+	}
+}

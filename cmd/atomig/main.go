@@ -68,8 +68,8 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/minic"
 	"repro/internal/obs"
-	"repro/internal/race"
 	"repro/internal/serve"
+	"repro/internal/stress"
 	"repro/internal/transform"
 	"repro/internal/weaken"
 )
@@ -245,27 +245,29 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 // explain runs the happens-before detector over the un-ported module
-// under WMM across every scheduler mode and renders the per-location
-// promotion advice. This is the migration feedback loop: run it before
-// porting to see what the pipeline must fix, or on a hand-ported tree
-// to find the promotions it missed. When -O also ran, the weakening
-// decisions are joined in so advice about a location mentions that the
-// port's promotion there was later relaxed by the optimizer.
+// under WMM across every scheduler mode (stress.Sweep's grid, four
+// schedules per mode) and renders the per-location promotion advice.
+// This is the migration feedback loop: run it before porting to see
+// what the pipeline must fix, or on a hand-ported tree to find the
+// promotions it missed. When -O also ran, the weakening decisions are
+// joined in so advice about a location mentions that the port's
+// promotion there was later relaxed by the optimizer.
 func explain(stdout, stderr io.Writer, mod *ir.Module, corpusName, entries string, weakened []weaken.Decision, prov *obs.Provider) int {
 	entryList, err := weakenEntries(corpusName, entries)
 	if err != nil {
 		return fail(stderr, fmt.Errorf("-explain-races needs thread entries (use -entries a,b or a corpus program with a model-checking harness)"))
 	}
-	res, err := race.Sweep(mod, race.SweepOptions{
+	res, err := stress.Sweep(mod, stress.Options{
 		Model:   memmodel.ModelWMM,
 		Entries: entryList,
+		Seeds:   4,
 		Obs:     prov,
 	})
 	if err != nil {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "race sweep: %d executions, %d distinct race(s)\n",
-		res.Executions, res.Detector.Races())
+		res.Schedules, res.Detector.Races())
 	exp := atomig.ExplainRaces(mod, res.Races())
 	if len(weakened) > 0 {
 		notes := make([]atomig.WeakenedNote, 0, len(weakened))

@@ -7,10 +7,11 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/memmodel"
 	"repro/internal/race"
+	"repro/internal/stress"
 )
 
-// sweepCorpus compiles a corpus program and runs the race detector over
-// it, returning the module and the reports.
+// sweepCorpus compiles a corpus program and stress-sweeps it with the
+// race detector attached, returning the explanation and its rendering.
 func sweepCorpus(t *testing.T, name string) (*RaceExplanation, string) {
 	t.Helper()
 	p := corpus.Get(name)
@@ -21,9 +22,10 @@ func sweepCorpus(t *testing.T, name string) (*RaceExplanation, string) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := race.Sweep(m, race.SweepOptions{
+	res, err := stress.Sweep(m, stress.Options{
 		Model:   memmodel.ModelWMM,
 		Entries: p.MCEntries,
+		Seeds:   4,
 	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)

@@ -7,7 +7,8 @@ import "testing"
 // acceptance shape: the planted race is found, the rate clears the
 // 1000 schedules/sec bar, and the minimized program is litmus-sized
 // with an exhaustive race confirmation (the paper-scale run is
-// `make bench-stress`).
+// `make bench-stress`). Under -race only the rate bar is exempt: the
+// instrumentation, not the engine, sets the rate there.
 func TestStressThroughputSmall(t *testing.T) {
 	b, err := StressThroughput(10_000, 7, []int{2}, 8, nil)
 	if err != nil {
@@ -21,7 +22,10 @@ func TestStressThroughputSmall(t *testing.T) {
 		if !r.FoundPlanted {
 			t.Errorf("j=%d: planted race not found", r.Workers)
 		}
-		if r.RatePerSec < 1000 {
+		switch {
+		case raceBuild:
+			t.Logf("j=%d: -race build, 1000/s bar not asserted", r.Workers)
+		case r.RatePerSec < 1000:
 			t.Errorf("j=%d: %.0f schedules/sec below the 1000/s bar", r.Workers, r.RatePerSec)
 		}
 	}

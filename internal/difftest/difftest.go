@@ -28,6 +28,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/race"
+	"repro/internal/stress"
 	"repro/internal/transform"
 	"repro/internal/vm"
 )
@@ -35,7 +36,9 @@ import (
 // Options configures a differential run.
 type Options struct {
 	// Seeds drives both the SC self-consistency check and the per-mode
-	// weak-memory runs. Empty selects DefaultSeeds.
+	// weak-memory runs. Empty selects DefaultSeeds. The race check
+	// sweeps len(Seeds) schedules per mode on stress.Sweep's grid
+	// (vm.GridSeed of base seed 1), not these seed values.
 	Seeds []int64
 	// Modes are the scheduler modes to stress. Empty selects every mode.
 	Modes []vm.SchedMode
@@ -55,15 +58,16 @@ type Options struct {
 	// the final states happen to agree.
 	DetectRaces bool
 	// Workers fans the seeded executions (SC reference runs, per-mode
-	// weak-memory runs, race sweeps) out across that many goroutines.
-	// Every (mode, seed) cell is independent, and on failure the error
-	// of the earliest cell in grid order is reported, so the outcome is
-	// identical for every worker count. 0 or 1 runs sequentially.
+	// weak-memory runs, stress race sweeps) out across that many
+	// goroutines. Every (mode, seed) cell is independent, and on failure
+	// the error of the earliest cell in grid order is reported, so the
+	// outcome is identical for every worker count. 0 or 1 runs
+	// sequentially.
 	Workers int
 	// Obs, when non-nil, traces the harness stages on the "difftest"
 	// track, counts grid progress (difftest.cells_completed,
 	// difftest.reference_runs_completed), and threads through to the
-	// pipeline, VM and race-sweep metrics.
+	// pipeline, VM and stress-sweep metrics.
 	Obs *obs.Provider
 }
 
@@ -256,7 +260,7 @@ func gridRun(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// checkRaces sweeps the ported module for data races across the
+// checkRaces stress-sweeps the ported module for data races across the
 // scheduler modes and, when any are found, repeats the sweep on a naive
 // all-SC port of the original source as the control. Racy ported +
 // clean control = the atomig port missed a promotion; racy control too
@@ -264,8 +268,8 @@ func gridRun(n, workers int, fn func(i int) error) error {
 // (reported as an infrastructure error, since difftest inputs are
 // generated to be data-race-free once fully ported).
 func checkRaces(orig, ported *ir.Module, entries []string, modes []vm.SchedMode, seeds int, maxSteps int64, workers int, p *obs.Provider) (int, error) {
-	sweep := func(m *ir.Module) (*race.SweepResult, error) {
-		return race.Sweep(m, race.SweepOptions{
+	sweep := func(m *ir.Module) (*stress.Result, error) {
+		return stress.Sweep(m, stress.Options{
 			Model:    memmodel.ModelWMM,
 			Entries:  entries,
 			Modes:    modes,
@@ -280,23 +284,23 @@ func checkRaces(orig, ported *ir.Module, entries []string, modes []vm.SchedMode,
 		return 0, fmt.Errorf("difftest: race sweep of ported program: %w", err)
 	}
 	if pres.Detector.Races() == 0 {
-		return pres.Executions, nil
+		return pres.Schedules, nil
 	}
 	control, err := ir.CloneModule(orig)
 	if err != nil {
-		return pres.Executions, fmt.Errorf("difftest: clone for naive control: %w", err)
+		return pres.Schedules, fmt.Errorf("difftest: clone for naive control: %w", err)
 	}
 	transform.Naive(control)
 	cres, err := sweep(control)
 	if err != nil {
-		return pres.Executions, fmt.Errorf("difftest: race sweep of naive control: %w", err)
+		return pres.Schedules, fmt.Errorf("difftest: race sweep of naive control: %w", err)
 	}
 	if cres.Detector.Races() == 0 {
-		return pres.Executions, fmt.Errorf(
+		return pres.Schedules, fmt.Errorf(
 			"difftest: ported program races but the naive-SC control does not — the port missed a promotion:\n%s",
 			race.FormatReports(pres.Races()))
 	}
-	return pres.Executions, fmt.Errorf(
+	return pres.Schedules, fmt.Errorf(
 		"difftest: program races even under the naive-SC control (%d ported / %d control reports):\n%s",
 		pres.Detector.Races(), cres.Detector.Races(), race.FormatReports(pres.Races()))
 }

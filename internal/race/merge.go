@@ -22,9 +22,9 @@ func (d *Detector) ExecNewReports() []*Report { return d.reports[d.execStart:] }
 
 // Adopt replaces the detector's findings with an externally merged
 // list, rebuilding the dedup index so the detector keeps deduplicating
-// correctly if it is reused for further sweeps. The parallel sweeps
-// (race.Sweep, stress.Sweep) use it to publish MergeReports output
-// through a regular detector.
+// correctly if it is reused for further sweeps. stress.Sweep uses it to
+// publish its merged, key-sorted report list through a regular
+// detector.
 func (d *Detector) Adopt(reports []*Report) {
 	d.reports = append(d.reports[:0], reports...)
 	d.seen = make(map[string]*Report, len(reports))

@@ -4,16 +4,15 @@
 package race_test
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/atomig"
 	"repro/internal/corpus"
 	"repro/internal/ir"
-	"repro/internal/leakcheck"
 	"repro/internal/memmodel"
 	"repro/internal/race"
+	"repro/internal/stress"
 	"repro/internal/transform"
 	"repro/internal/vm"
 )
@@ -29,6 +28,29 @@ func compileProgram(t *testing.T, name string) (*corpus.Program, *ir.Module) {
 		t.Fatalf("compile %s: %v", name, err)
 	}
 	return p, m
+}
+
+// runDetector runs seeds executions of the module per scheduler mode
+// under the given model, every one observed by det — the detector-only
+// harness for tests of the detector itself (stress.Sweep runs WMM or
+// TSO only and keeps a private detector per worker). Seeds follow
+// stress.Sweep's grid.
+func runDetector(t *testing.T, m *ir.Module, entries []string, det *race.Detector, model memmodel.Model, modes []vm.SchedMode, seeds int) {
+	t.Helper()
+	for _, mode := range modes {
+		for s := int64(1); s <= int64(seeds); s++ {
+			det.BeginExec()
+			if _, err := vm.Run(m, vm.Options{
+				Model:      model,
+				Entries:    entries,
+				Controller: vm.NewScheduler(mode, vm.GridSeed(1, mode, s)),
+				Costs:      vm.DefaultCosts(),
+				Hook:       det,
+			}); err != nil {
+				t.Fatalf("run (%s, seed %d): %v", mode, s, err)
+			}
+		}
+	}
 }
 
 // port applies the named strategy: the full atomig pipeline for
@@ -75,7 +97,7 @@ func TestLegacyProgramsRaceUnderEveryMode(t *testing.T) {
 		for _, mode := range vm.AllSchedModes() {
 			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
 				p, m := compileProgram(t, tc.name)
-				res, err := race.Sweep(m, race.SweepOptions{
+				res, err := stress.Sweep(m, stress.Options{
 					Model:   memmodel.ModelWMM,
 					Entries: p.MCEntries,
 					Modes:   []vm.SchedMode{mode},
@@ -100,7 +122,7 @@ func TestPortedProgramsRaceFree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p, m := compileProgram(t, tc.name)
 			port(t, m, tc.port)
-			res, err := race.Sweep(m, race.SweepOptions{
+			res, err := stress.Sweep(m, stress.Options{
 				Model:   memmodel.ModelWMM,
 				Entries: p.MCEntries,
 				Seeds:   4,
@@ -116,8 +138,8 @@ func TestPortedProgramsRaceFree(t *testing.T) {
 			// naive all-SC port eliminates races, but this machine's SC
 			// atomics deliberately keep weak outcomes unless fenced (see
 			// memmodel.EligibleReads), so sb's assert may still trip.
-			if tc.port == "atomig" && len(res.Violations) != 0 {
-				t.Fatalf("ported %s (%s) failed executions: %v", tc.name, tc.port, res.Violations)
+			if v := res.Violations(); tc.port == "atomig" && len(v) != 0 {
+				t.Fatalf("ported %s (%s) failed executions: %v", tc.name, tc.port, v)
 			}
 		})
 	}
@@ -129,9 +151,10 @@ func TestPortedProgramsRaceFree(t *testing.T) {
 // the writer still stores with plain accesses).
 func TestSeqlockGapReportsExactField(t *testing.T) {
 	p, m := compileProgram(t, "seqlock-gap")
-	res, err := race.Sweep(m, race.SweepOptions{
+	res, err := stress.Sweep(m, stress.Options{
 		Model:   memmodel.ModelWMM,
 		Entries: p.MCEntries,
+		Seeds:   4,
 	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
@@ -163,16 +186,9 @@ func TestDetectorFlagsRacesUnderStrongModels(t *testing.T) {
 	for _, model := range []memmodel.Model{memmodel.ModelSC, memmodel.ModelTSO} {
 		t.Run(model.String(), func(t *testing.T) {
 			p, m := compileProgram(t, "mp")
-			res, err := race.Sweep(m, race.SweepOptions{
-				Model:   model,
-				Entries: p.MCEntries,
-				Modes:   []vm.SchedMode{vm.SchedRandom},
-				Seeds:   2,
-			})
-			if err != nil {
-				t.Fatalf("sweep: %v", err)
-			}
-			if res.Detector.Races() == 0 {
+			det := race.New(model, race.Options{})
+			runDetector(t, m, p.MCEntries, det, model, []vm.SchedMode{vm.SchedRandom}, 2)
+			if det.Races() == 0 {
 				t.Fatalf("mp not flagged under %s: races are model-independent", model)
 			}
 		})
@@ -184,7 +200,7 @@ func TestDetectorFlagsRacesUnderStrongModels(t *testing.T) {
 // location.
 func TestReportProvenance(t *testing.T) {
 	p, m := compileProgram(t, "mp")
-	res, err := race.Sweep(m, race.SweepOptions{
+	res, err := stress.Sweep(m, stress.Options{
 		Model:   memmodel.ModelWMM,
 		Entries: p.MCEntries,
 		Modes:   []vm.SchedMode{vm.SchedRandom},
@@ -207,15 +223,7 @@ func TestReportProvenance(t *testing.T) {
 func TestDedupAcrossExecutions(t *testing.T) {
 	p, m := compileProgram(t, "sb")
 	det := race.New(memmodel.ModelWMM, race.Options{})
-	_, err := race.Sweep(m, race.SweepOptions{
-		Model:    memmodel.ModelWMM,
-		Entries:  p.MCEntries,
-		Detector: det,
-		Seeds:    4,
-	})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
+	runDetector(t, m, p.MCEntries, det, memmodel.ModelWMM, vm.AllSchedModes(), 4)
 	n := det.Races()
 	if n == 0 {
 		t.Fatal("no races on sb")
@@ -241,65 +249,8 @@ func TestDedupAcrossExecutions(t *testing.T) {
 func TestMaxReportsCap(t *testing.T) {
 	p, m := compileProgram(t, "iriw")
 	det := race.New(memmodel.ModelWMM, race.Options{MaxReports: 1})
-	if _, err := race.Sweep(m, race.SweepOptions{
-		Model:    memmodel.ModelWMM,
-		Entries:  p.MCEntries,
-		Detector: det,
-		Modes:    []vm.SchedMode{vm.SchedRandom},
-		Seeds:    2,
-	}); err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
+	runDetector(t, m, p.MCEntries, det, memmodel.ModelWMM, []vm.SchedMode{vm.SchedRandom}, 2)
 	if det.Races() != 1 {
 		t.Fatalf("cap ignored: %d reports with MaxReports=1", det.Races())
-	}
-}
-
-// TestParallelSweepDeterminism: the fanned-out sweep must report the
-// same race keys, violations (in grid order) and execution count as
-// the sequential sweep, for every worker count.
-func TestParallelSweepDeterminism(t *testing.T) {
-	leakcheck.Check(t)
-	raceKeys := func(res *race.SweepResult) string {
-		keys := make([]string, 0, len(res.Races()))
-		for _, r := range res.Races() {
-			keys = append(keys, r.Key())
-		}
-		sort.Strings(keys)
-		return strings.Join(keys, "\n")
-	}
-	for _, name := range []string{"sb", "seqlock-gap"} {
-		t.Run(name, func(t *testing.T) {
-			p, m := compileProgram(t, name)
-			run := func(workers int) *race.SweepResult {
-				res, err := race.Sweep(m, race.SweepOptions{
-					Model:   memmodel.ModelWMM,
-					Entries: p.MCEntries,
-					Seeds:   3,
-					Workers: workers,
-				})
-				if err != nil {
-					t.Fatalf("sweep (workers=%d): %v", workers, err)
-				}
-				return res
-			}
-			seq := run(0)
-			if seq.Detector.Races() == 0 {
-				t.Fatalf("sequential sweep found no races in %s", name)
-			}
-			wantKeys := raceKeys(seq)
-			for _, j := range []int{1, 2, 8} {
-				par := run(j)
-				if got := raceKeys(par); got != wantKeys {
-					t.Errorf("workers=%d race keys drifted:\n got %q\nwant %q", j, got, wantKeys)
-				}
-				if par.Executions != seq.Executions {
-					t.Errorf("workers=%d executions = %d, want %d", j, par.Executions, seq.Executions)
-				}
-				if strings.Join(par.Violations, "\n") != strings.Join(seq.Violations, "\n") {
-					t.Errorf("workers=%d violations drifted:\n got %q\nwant %q", j, par.Violations, seq.Violations)
-				}
-			}
-		})
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/atomig"
 	"repro/internal/mc"
 	"repro/internal/memmodel"
-	"repro/internal/race"
 	"repro/internal/stress"
 	"repro/internal/weaken"
 )
@@ -103,8 +102,10 @@ func (s *Server) opDump(req *Request, sess *session) *Response {
 	return resp
 }
 
-// opExplain runs the race detector over the un-ported module and maps
-// each race to the location the port should promote.
+// opExplain stress-sweeps the un-ported module (four schedules per
+// scheduler mode) and maps each race to the location the port should
+// promote. A canceled sweep is incomplete, so it answers with the
+// context error rather than a partial result.
 func (s *Server) opExplain(ctx context.Context, req *Request, sess *session) *Response {
 	if sess == nil {
 		return errResp(ErrNoModule, "no module loaded in session %q", sessionName(req))
@@ -116,23 +117,25 @@ func (s *Server) opExplain(ctx context.Context, req *Request, sess *session) *Re
 	if err != nil {
 		return errResp("", "explain-races: %v", err)
 	}
-	if ctx.Err() != nil {
-		return errResp("", "explain-races: %v", ctx.Err())
-	}
-	res, err := race.Sweep(m, race.SweepOptions{
+	res, err := stress.Sweep(m, stress.Options{
 		Model:   memmodel.ModelWMM,
 		Entries: req.Entries,
+		Seeds:   4,
 		Workers: s.opts.Workers,
+		Context: ctx,
 		Obs:     s.opts.Obs,
 	})
 	if err != nil {
 		return errResp(ErrBadRequest, "explain-races: %v", err)
 	}
+	if ctx.Err() != nil {
+		return errResp("", "explain-races: %v", ctx.Err())
+	}
 	return &Response{
 		OK:         true,
 		Races:      res.Detector.Races(),
-		Executions: res.Executions,
-		Violations: res.Violations,
+		Executions: res.Schedules,
+		Violations: res.Violations(),
 		Text:       atomig.ExplainRaces(m, res.Races()).String(),
 	}
 }

@@ -494,6 +494,39 @@ func TestVerifyAndExplain(t *testing.T) {
 	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
 }
 
+// TestExplainRacesSameAtEveryWorkers: explain-races is a stress sweep
+// (4 schedules per scheduler mode), so its whole response — race count,
+// schedule count, violations in grid order, rendered advice — is the
+// same for every daemon worker count.
+func TestExplainRacesSameAtEveryWorkers(t *testing.T) {
+	leakcheck.Check(t)
+	prog := corpus.Get("mp")
+	var want *Response
+	for _, workers := range []int{1, 4} {
+		_, c := startServer(t, Options{Workers: workers})
+		mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "mp.c", Source: prog.Source}))
+		ex := mustOK(t, c.call(&Request{ID: "x", Op: "explain-races", Entries: prog.MCEntries}))
+		mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
+		if ex.Executions != 20 || ex.Races == 0 || len(ex.Violations) == 0 {
+			t.Fatalf("workers=%d: executions=%d races=%d violations=%d, want 20 schedules with races and violations",
+				workers, ex.Executions, ex.Races, len(ex.Violations))
+		}
+		for _, v := range ex.Violations {
+			if !strings.Contains(v, "#") || !strings.Contains(v, "(seed ") {
+				t.Errorf("workers=%d: violation %q lacks its mode#N (seed S) schedule", workers, v)
+			}
+		}
+		if want == nil {
+			want = ex
+			continue
+		}
+		if ex.Races != want.Races || ex.Executions != want.Executions || ex.Text != want.Text ||
+			strings.Join(ex.Violations, "\n") != strings.Join(want.Violations, "\n") {
+			t.Errorf("workers=%d response differs from workers=1:\n%+v\nwant\n%+v", workers, ex, want)
+		}
+	}
+}
+
 // TestStressOp: the schedule-fuzzing sweep over the ported session
 // module — a clean verdict on the ported program, the full sweep
 // summary, and byte-identical findings on a repeat call (the grid is

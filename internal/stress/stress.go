@@ -48,8 +48,11 @@ import (
 
 // Options configures a stress sweep.
 type Options struct {
-	// Model is the memory model executions run under (default ModelWMM:
-	// stress hunts the weak behaviors TSO code misses).
+	// Model is the memory model executions run under: ModelTSO or
+	// ModelWMM. The zero value selects ModelWMM (stress hunts the weak
+	// behaviors TSO code misses), and since memmodel.ModelSC is that
+	// zero value, SC cannot be selected — the CLIs reject -model sc
+	// with -stress as a usage error rather than silently running WMM.
 	Model memmodel.Model
 	// Entries are the functions started as initial threads; required.
 	Entries []string
@@ -452,8 +455,8 @@ func (r *Result) tallyFindings() (races, violations int) {
 	return
 }
 
-// scheduleOf maps a grid cell index to its schedule (mode-major, like
-// race.Sweep).
+// scheduleOf maps a grid cell index to its schedule (mode-major: every
+// ordinal of the first mode, then the next mode).
 func scheduleOf(opts Options, i int) Schedule {
 	mode := opts.Modes[i/opts.Seeds]
 	ordinal := i%opts.Seeds + 1

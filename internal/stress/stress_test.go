@@ -8,6 +8,7 @@ import (
 	"repro/internal/alias"
 	"repro/internal/appgen"
 	"repro/internal/atomig"
+	"repro/internal/corpus"
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/race"
@@ -116,26 +117,47 @@ func fingerprint(res *Result) string {
 // TestSweepDeterministicAcrossWorkers: the seed-to-schedule map is a
 // pure function of the grid cell and findings are assembled in grid
 // order with earliest-cell attribution, so the whole result — counts,
-// findings, reports, provenance — is byte-identical at every -j.
+// findings, reports, provenance — is byte-identical at every -j. The
+// un-ported racy litmus programs at 4 seeds per mode are the grid the
+// race explainer sweeps.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
+	type input struct {
+		name    string
+		m       *ir.Module
+		entries []string
+		seeds   int
+	}
 	m, entries := portedHarness(t, harnessSpec())
-	var want string
-	for _, workers := range []int{1, 2, 8} {
-		res, err := Sweep(m, Options{Entries: entries, Seeds: 12, Workers: workers})
+	inputs := []input{{"harness", m, entries, 12}}
+	for _, name := range []string{"lb", "sb", "iriw", "seqlock-gap"} {
+		p := corpus.Get(name)
+		m, err := p.Compile()
 		if err != nil {
-			t.Fatalf("sweep (j=%d): %v", workers, err)
+			t.Fatalf("%s: compile: %v", name, err)
 		}
-		got := fingerprint(res)
-		if want == "" {
-			want = got
-			if len(res.Findings) == 0 {
-				t.Fatal("determinism test needs at least one finding")
+		inputs = append(inputs, input{name, m, p.MCEntries, 4})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			var want string
+			for _, workers := range []int{1, 2, 4, 8} {
+				res, err := Sweep(in.m, Options{Entries: in.entries, Seeds: in.seeds, Workers: workers})
+				if err != nil {
+					t.Fatalf("sweep (j=%d): %v", workers, err)
+				}
+				got := fingerprint(res)
+				if want == "" {
+					want = got
+					if len(res.Findings) == 0 {
+						t.Fatal("determinism test needs at least one finding")
+					}
+					continue
+				}
+				if got != want {
+					t.Fatalf("result differs at j=%d:\n--- j=1\n%s\n--- j=%d\n%s", workers, want, workers, got)
+				}
 			}
-			continue
-		}
-		if got != want {
-			t.Fatalf("result differs at j=%d:\n--- j=1\n%s\n--- j=%d\n%s", workers, want, workers, got)
-		}
+		})
 	}
 }
 

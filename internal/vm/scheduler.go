@@ -82,8 +82,9 @@ func ParseSchedMode(s string) (SchedMode, error) {
 }
 
 // GridSeed derives the scheduler seed for one cell of a (mode, seed)
-// sweep grid from a base seed. Sweeps (race.Sweep, difftest, the stress
-// engine) must not hand the same RNG seed to two grid cells: two
+// sweep grid from a base seed. Sweeps (the stress engine, which also
+// serves the race explainer and difftest's race check) must not hand
+// the same RNG seed to two grid cells: two
 // schedulers of the same mode seeded identically replay the same
 // schedule, so a grid that recycles seed values across modes or workers
 // silently halves its coverage while reporting the full execution
