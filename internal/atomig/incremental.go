@@ -17,9 +17,8 @@ package atomig
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/alias"
@@ -95,41 +94,63 @@ func (c *MemCache) Clear() {
 // under a different configuration. Ports of modules sharing a salt may
 // share a DetectCache.
 func CacheSalt(m *ir.Module, opts Options) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "atomig.detect/v3|level=%d|polling=%t|barrier=%t|opt=%s\n",
-		opts.Level, opts.DetectPolling, opts.BarrierSeeds, opts.OptimizeSalt)
+	buf := append([]byte(nil), "atomig.detect/v3|level="...)
+	buf = strconv.AppendInt(buf, int64(opts.Level), 10)
+	buf = append(buf, "|polling="...)
+	buf = strconv.AppendBool(buf, opts.DetectPolling)
+	buf = append(buf, "|barrier="...)
+	buf = strconv.AppendBool(buf, opts.BarrierSeeds)
+	buf = append(buf, "|opt="...)
+	buf = append(buf, opts.OptimizeSalt...)
+	buf = append(buf, '\n')
 	names := make([]string, 0, len(m.Structs))
 	for n := range m.Structs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		io.WriteString(h, m.Structs[n].Layout())
-		io.WriteString(h, "\n")
+		buf = append(buf, m.Structs[n].Layout()...)
+		buf = append(buf, '\n')
 	}
-	names = names[:0]
-	anns := make(map[string]string, len(m.Globals))
+	annotated := make([]*ir.Global, 0, len(m.Globals))
 	for _, g := range m.Globals {
 		if g.Volatile || g.Atomic {
-			names = append(names, g.GName)
-			anns[g.GName] = fmt.Sprintf("@%s|%t|%t\n", g.GName, g.Volatile, g.Atomic)
+			annotated = append(annotated, g)
 		}
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		io.WriteString(h, anns[n])
+	sort.Slice(annotated, func(i, j int) bool { return annotated[i].GName < annotated[j].GName })
+	for _, g := range annotated {
+		buf = append(buf, '@')
+		buf = append(buf, g.GName...)
+		buf = append(buf, '|')
+		buf = strconv.AppendBool(buf, g.Volatile)
+		buf = append(buf, '|')
+		buf = strconv.AppendBool(buf, g.Atomic)
+		buf = append(buf, '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
-// FuncKey is the detection-cache key of f under salt: a content hash of
-// the (un-ported) function body. Callers that own a stable module may
-// precompute keys once and pass them via Options.FuncHashes.
+// keyBufs recycles FuncKey's print buffers across calls and pipeline
+// workers.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// FuncKey is the detection-cache key of f under salt: the sha256 of the
+// salt followed by the function's AIR text (ir.AppendFunc), hex-encoded.
+// The text is printed into a pooled buffer and hashed from there, so a
+// key costs the same few allocations whatever the function's size.
+// Callers that own a stable module may precompute keys once and pass
+// them via Options.FuncHashes.
 func FuncKey(salt string, f *ir.Func) string {
-	h := sha256.New()
-	io.WriteString(h, salt)
-	io.WriteString(h, ir.FuncString(f))
-	return hex.EncodeToString(h.Sum(nil))
+	bp := keyBufs.Get().(*[]byte)
+	buf := ir.AppendFunc(append((*bp)[:0], salt...), f)
+	sum := sha256.Sum256(buf)
+	*bp = buf
+	keyBufs.Put(bp)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // FuncSummary is one function's cached detection verdict, encoded
@@ -287,6 +308,7 @@ func (s *FuncSummary) replay(f *ir.Func) (d funcDetect, accs []alias.Access, ok 
 	}
 	// The i-th cached access must be the i-th memory access of the walk;
 	// the recorded position double-checks the pairing.
+	accs = make([]alias.Access, 0, len(s.accesses))
 	pos, ai := 0, 0
 	for _, in := range instrs {
 		pos++

@@ -117,25 +117,27 @@ func insertOptFences(f *ir.Func, loops []optLoopCtl, optLocs map[alias.Loc]bool,
 		return 0
 	}
 	var before, after []*ir.Instr
-	fenced := make(map[*ir.Instr]bool)
 	isSCFence := func(in *ir.Instr) bool { return in.Op == ir.OpFence && in.Ord == ir.SeqCst }
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
-			if in.Reads() && !fenced[in] {
+			// The walk visits each instruction once; an access fenced
+			// before as a loop-control read (a cmpxchg or rmw) is not
+			// fenced again after as an optimistic-control write.
+			fenced := false
+			if len(loops) > 0 && in.Reads() {
 				loc := am.Canon(am.Loc(in))
 				for _, ol := range loops {
 					if !ol.loop.Blocks[b] || !ol.ctl[loc] {
 						continue
 					}
-					fenced[in] = true
+					fenced = true
 					if i == 0 || !isSCFence(b.Instrs[i-1]) {
 						before = append(before, in)
 					}
 					break
 				}
 			}
-			if in.Writes() && !fenced[in] && optLocs[am.Canon(am.Loc(in))] {
-				fenced[in] = true
+			if in.Writes() && !fenced && optLocs[am.Canon(am.Loc(in))] {
 				if i+1 >= len(b.Instrs) || !isSCFence(b.Instrs[i+1]) {
 					after = append(after, in)
 				}

@@ -1,15 +1,17 @@
-package ir
+package ir_test
 
 import (
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/ir"
 )
 
 // FuzzParseRoundTrip feeds arbitrary text to the AIR parser. Malformed
 // text must produce an ordinary error (a contained panic is a parser
 // bug); accepted text must survive parse → print → parse with a stable
-// second print, which pins the printer and parser to each other.
+// second print, which pins the printer and parser to each other, and
+// the print must equal the reference printer's byte for byte.
 func FuzzParseRoundTrip(f *testing.F) {
 	seeds := []string{
 		"",
@@ -27,7 +29,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if len(text) > 16<<10 {
 			t.Skip("oversized input")
 		}
-		m, err := ParseModule(text)
+		m, err := ir.ParseModule(text)
 		if err != nil {
 			if ie, ok := diag.AsInternal(err); ok {
 				t.Fatalf("parser panicked on input:\n%s\n%s", text, ie.Diagnostics())
@@ -35,7 +37,10 @@ func FuzzParseRoundTrip(f *testing.F) {
 			return
 		}
 		printed := m.String()
-		m2, err := ParseModule(printed)
+		if ref := refModuleString(m); printed != ref {
+			t.Fatalf("print differs from the reference printer\n%s\ninput:\n%s", firstDiff(printed, ref), text)
+		}
+		m2, err := ir.ParseModule(printed)
 		if err != nil {
 			t.Fatalf("printed AIR does not re-parse: %v\ninput:\n%s\nAIR:\n%s", err, text, printed)
 		}

@@ -1,12 +1,7 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Op identifies the operation an instruction performs.
-type Op int
+type Op uint8
 
 // Instruction opcodes.
 const (
@@ -24,18 +19,26 @@ const (
 	OpRet               // return (optionally Args[0])
 )
 
-var opNames = map[Op]string{
+// enumName returns names[i], or "" for a value outside the table.
+func enumName(names []string, i int) string {
+	if uint(i) < uint(len(names)) {
+		return names[i]
+	}
+	return ""
+}
+
+var opNames = [...]string{
 	OpAlloca: "alloca", OpLoad: "load", OpStore: "store",
 	OpCmpXchg: "cmpxchg", OpRMW: "atomicrmw", OpFence: "fence",
 	OpBin: "bin", OpICmp: "icmp", OpGEP: "getelementptr",
 	OpCall: "call", OpBr: "br", OpRet: "ret",
 }
 
-func (o Op) String() string { return opNames[o] }
+func (o Op) String() string { return enumName(opNames[:], int(o)) }
 
 // MemOrder is the memory ordering attached to a memory access or fence,
 // following the C11 orderings the paper manipulates.
-type MemOrder int
+type MemOrder uint8
 
 // Memory orderings, from weakest to strongest.
 const (
@@ -47,18 +50,18 @@ const (
 	SeqCst
 )
 
-var ordNames = map[MemOrder]string{
+var ordNames = [...]string{
 	NotAtomic: "plain", Relaxed: "relaxed", Acquire: "acquire",
 	Release: "release", AcqRel: "acq_rel", SeqCst: "seq_cst",
 }
 
-func (m MemOrder) String() string { return ordNames[m] }
+func (m MemOrder) String() string { return enumName(ordNames[:], int(m)) }
 
 // Atomic reports whether the ordering denotes an atomic access.
 func (m MemOrder) Atomic() bool { return m != NotAtomic }
 
 // BinKind is the operator of an OpBin instruction.
-type BinKind int
+type BinKind uint8
 
 // Binary operators.
 const (
@@ -74,15 +77,15 @@ const (
 	Shr
 )
 
-var binNames = map[BinKind]string{
+var binNames = [...]string{
 	Add: "add", Sub: "sub", Mul: "mul", Div: "sdiv", Rem: "srem",
 	And: "and", Or: "or", Xor: "xor", Shl: "shl", Shr: "ashr",
 }
 
-func (b BinKind) String() string { return binNames[b] }
+func (b BinKind) String() string { return enumName(binNames[:], int(b)) }
 
 // Pred is the predicate of an OpICmp instruction.
-type Pred int
+type Pred uint8
 
 // Comparison predicates.
 const (
@@ -94,12 +97,12 @@ const (
 	GE
 )
 
-var predNames = map[Pred]string{EQ: "eq", NE: "ne", LT: "slt", LE: "sle", GT: "sgt", GE: "sge"}
+var predNames = [...]string{EQ: "eq", NE: "ne", LT: "slt", LE: "sle", GT: "sgt", GE: "sge"}
 
-func (p Pred) String() string { return predNames[p] }
+func (p Pred) String() string { return enumName(predNames[:], int(p)) }
 
 // RMWKind is the operation of an OpRMW instruction.
-type RMWKind int
+type RMWKind uint8
 
 // Read-modify-write operations.
 const (
@@ -111,12 +114,12 @@ const (
 	RMWXchg
 )
 
-var rmwNames = map[RMWKind]string{
+var rmwNames = [...]string{
 	RMWAdd: "add", RMWSub: "sub", RMWAnd: "and", RMWOr: "or",
 	RMWXor: "xor", RMWXchg: "xchg",
 }
 
-func (r RMWKind) String() string { return rmwNames[r] }
+func (r RMWKind) String() string { return enumName(rmwNames[:], int(r)) }
 
 // Mark is a bit set of analysis/transformation annotations on an
 // instruction. Marks let the pipeline record which detector claimed an
@@ -137,24 +140,7 @@ const (
 	MarkWeakened                       // ordering weakened by the checker-in-the-loop optimizer
 )
 
-func (m Mark) String() string {
-	var parts []string
-	add := func(bit Mark, s string) {
-		if m&bit != 0 {
-			parts = append(parts, s)
-		}
-	}
-	add(MarkSpinControl, "spin")
-	add(MarkOptControl, "opt")
-	add(MarkSticky, "sticky")
-	add(MarkFromVolatile, "volatile")
-	add(MarkFromAtomic, "atomic-upgrade")
-	add(MarkFromAsm, "asm")
-	add(MarkInsertedFence, "inserted")
-	add(MarkNaive, "naive")
-	add(MarkWeakened, "weakened")
-	return strings.Join(parts, ",")
-}
+func (m Mark) String() string { return string(appendMarks(nil, m)) }
 
 // GEPStep is one step of a getelementptr path. Either Field >= 0 names a
 // constant struct-field index, or Field < 0 and the step indexes an array
@@ -169,19 +155,13 @@ type GEPStep struct {
 // so that passes can rewrite instructions in place (e.g. flip a plain
 // load to a seq_cst load) without reallocating the instruction stream.
 type Instr struct {
-	Op  Op
-	ID  int    // unique within the function; the result register is %t<ID>
-	Blk *Block // owning basic block
+	ID int // unique within the function; the result register is %t<ID>
 
-	// Ty is the result type (Void for instructions without a result).
-	Ty Type
-
-	// Args holds the value operands. Layout per opcode is documented on
-	// the Op constants.
-	Args []Value
-
-	// AllocElem is the element type of an OpAlloca.
-	AllocElem Type
+	// The byte-sized fields share the word after ID: a clone copies
+	// every instruction of a module, so the struct's size is the clone's
+	// size, and the opcode and ordering sit on the same cache line as
+	// the operands the interpreter reads with them.
+	Op Op
 
 	// Ord is the memory ordering of loads, stores, cmpxchg, rmw, fences.
 	Ord MemOrder
@@ -198,6 +178,21 @@ type Instr struct {
 	// RMW is the operation of an OpRMW.
 	RMW RMWKind
 
+	// Marks records analysis and transformation annotations.
+	Marks Mark
+
+	Blk *Block // owning basic block
+
+	// Ty is the result type (Void for instructions without a result).
+	Ty Type
+
+	// Args holds the value operands. Layout per opcode is documented on
+	// the Op constants.
+	Args []Value
+
+	// AllocElem is the element type of an OpAlloca.
+	AllocElem Type
+
 	// GEPBase is the pointee type the GEP path navigates (the type of
 	// *Args[0]). Path describes the steps; dynamic indices appear in
 	// Args[1:] in path order.
@@ -210,9 +205,6 @@ type Instr struct {
 	// Then and Else are branch targets for OpBr. Else is nil for an
 	// unconditional branch.
 	Then, Else *Block
-
-	// Marks records analysis and transformation annotations.
-	Marks Mark
 }
 
 // Type returns the result type of the instruction.
@@ -224,7 +216,10 @@ func (in *Instr) Type() Type {
 }
 
 // Operand returns the register name of the instruction's result.
-func (in *Instr) Operand() string { return fmt.Sprintf("%%t%d", in.ID) }
+func (in *Instr) Operand() string {
+	var buf [24]byte
+	return string(appendOperand(buf[:0], in))
+}
 
 // IsTerminator reports whether the instruction ends a basic block.
 func (in *Instr) IsTerminator() bool { return in.Op == OpBr || in.Op == OpRet }
@@ -270,81 +265,3 @@ func (in *Instr) HasMark(m Mark) bool { return in.Marks&m != 0 }
 
 // SetMark sets the given mark bit.
 func (in *Instr) SetMark(m Mark) { in.Marks |= m }
-
-// String renders the instruction in AIR textual syntax.
-func (in *Instr) String() string {
-	var b strings.Builder
-	if in.Type() != Void {
-		fmt.Fprintf(&b, "%s = ", in.Operand())
-	}
-	switch in.Op {
-	case OpAlloca:
-		fmt.Fprintf(&b, "alloca %s", in.AllocElem)
-	case OpLoad:
-		fmt.Fprintf(&b, "load %s, %s", in.Ty, in.Args[0].Operand())
-		writeAccessAttrs(&b, in)
-	case OpStore:
-		fmt.Fprintf(&b, "store %s, %s", in.Args[1].Operand(), in.Args[0].Operand())
-		writeAccessAttrs(&b, in)
-	case OpCmpXchg:
-		fmt.Fprintf(&b, "cmpxchg %s, %s, %s", in.Args[0].Operand(), in.Args[1].Operand(), in.Args[2].Operand())
-		writeAccessAttrs(&b, in)
-	case OpRMW:
-		fmt.Fprintf(&b, "atomicrmw %s %s, %s", in.RMW, in.Args[0].Operand(), in.Args[1].Operand())
-		writeAccessAttrs(&b, in)
-	case OpFence:
-		fmt.Fprintf(&b, "fence %s", in.Ord)
-		if in.Marks != 0 {
-			fmt.Fprintf(&b, " ; [%s]", in.Marks)
-		}
-	case OpBin:
-		fmt.Fprintf(&b, "%s %s, %s", in.BinKind, in.Args[0].Operand(), in.Args[1].Operand())
-	case OpICmp:
-		fmt.Fprintf(&b, "icmp %s %s, %s", in.Pred, in.Args[0].Operand(), in.Args[1].Operand())
-	case OpGEP:
-		fmt.Fprintf(&b, "getelementptr %s, %s", in.GEPBase, in.Args[0].Operand())
-		dyn := 1
-		for _, st := range in.Path {
-			if st.Field >= 0 {
-				fmt.Fprintf(&b, ", field %d", st.Field)
-			} else {
-				fmt.Fprintf(&b, ", index %s", in.Args[dyn].Operand())
-				dyn++
-			}
-		}
-	case OpCall:
-		fmt.Fprintf(&b, "call %s @%s(", in.Type(), in.Callee)
-		for i, a := range in.Args {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(a.Operand())
-		}
-		b.WriteString(")")
-	case OpBr:
-		if in.Else == nil {
-			fmt.Fprintf(&b, "br label %%%s", in.Then.Name)
-		} else {
-			fmt.Fprintf(&b, "br %s, label %%%s, label %%%s", in.Args[0].Operand(), in.Then.Name, in.Else.Name)
-		}
-	case OpRet:
-		if len(in.Args) == 0 {
-			b.WriteString("ret void")
-		} else {
-			fmt.Fprintf(&b, "ret %s", in.Args[0].Operand())
-		}
-	}
-	return b.String()
-}
-
-func writeAccessAttrs(b *strings.Builder, in *Instr) {
-	if in.Volatile {
-		b.WriteString(" volatile")
-	}
-	if in.Ord != NotAtomic {
-		fmt.Fprintf(b, " %s", in.Ord)
-	}
-	if in.Marks != 0 {
-		fmt.Fprintf(b, " ; [%s]", in.Marks)
-	}
-}

@@ -1,10 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Block is a basic block: a straight-line sequence of instructions ending
 // in a terminator (br or ret).
@@ -226,36 +222,6 @@ func (m *Module) RemoveFunc(name string) bool {
 	return true
 }
 
-// HeaderString renders the module's struct layouts and globals without
-// any functions — the parse context for a function-level delta.
-func (m *Module) HeaderString() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "; module %s\n", m.Name)
-	names := make([]string, 0, len(m.Structs))
-	for n := range m.Structs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		b.WriteString(m.Structs[n].Layout())
-		b.WriteString("\n")
-	}
-	for _, g := range m.Globals {
-		fmt.Fprintf(&b, "@%s = global %s", g.GName, g.Elem)
-		if g.Volatile {
-			b.WriteString(" volatile")
-		}
-		if g.Atomic {
-			b.WriteString(" atomic")
-		}
-		if len(g.Init) > 0 {
-			fmt.Fprintf(&b, " init %v", g.Init)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // EachInstr calls fn for every instruction in the module.
 func (m *Module) EachInstr(fn func(*Func, *Instr)) {
 	for _, f := range m.Funcs {
@@ -274,40 +240,4 @@ func (m *Module) NumInstrs() int {
 		n += f.NumInstrs()
 	}
 	return n
-}
-
-// String renders the whole module in AIR textual syntax.
-func (m *Module) String() string {
-	var b strings.Builder
-	b.WriteString(m.HeaderString())
-	for _, f := range m.Funcs {
-		b.WriteString("\n")
-		writeFunc(&b, f)
-	}
-	return b.String()
-}
-
-func writeFunc(b *strings.Builder, f *Func) {
-	fmt.Fprintf(b, "define %s @%s(", f.RetTy, f.Name)
-	for i, p := range f.Params {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "%s %%%s", p.Ty, p.PName)
-	}
-	b.WriteString(") {\n")
-	for _, blk := range f.Blocks {
-		fmt.Fprintf(b, "%s:\n", blk.Name)
-		for _, in := range blk.Instrs {
-			fmt.Fprintf(b, "  %s\n", in)
-		}
-	}
-	b.WriteString("}\n")
-}
-
-// FuncString renders a single function in AIR textual syntax.
-func FuncString(f *Func) string {
-	var b strings.Builder
-	writeFunc(&b, f)
-	return b.String()
 }

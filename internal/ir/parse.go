@@ -60,16 +60,22 @@ func (p *moduleParser) run(text string) error {
 	p.mod = NewModule(name)
 
 	var fns []*rawFunc
-	// Pass 1: structs, globals, function shells with raw bodies.
+	var structs []structDecl
+	// Pass 1: struct names, globals, function shells with raw bodies.
+	// Struct bodies wait until every struct name is declared: the
+	// printer orders structs by name, so a field may name a struct
+	// defined further down.
 	for i < len(lines) {
 		l := strings.TrimSpace(lines[i])
 		switch {
 		case l == "":
 			i++
 		case strings.HasPrefix(l, "%") && strings.Contains(l, "= type"):
-			if err := p.parseStruct(l, i+1); err != nil {
+			d, err := p.declareStruct(l, i+1)
+			if err != nil {
 				return err
 			}
+			structs = append(structs, d)
 			i++
 		case strings.HasPrefix(l, "@"):
 			if err := p.parseGlobal(l, i+1); err != nil {
@@ -85,6 +91,16 @@ func (p *moduleParser) run(text string) error {
 			i = next
 		default:
 			return fmt.Errorf("line %d: unexpected %q", i+1, l)
+		}
+	}
+	for _, d := range structs {
+		if err := p.parseStructBody(d); err != nil {
+			return err
+		}
+	}
+	for _, d := range structs {
+		if d.st.Recursive() {
+			return fmt.Errorf("line %d: struct %%%s contains itself", d.lineNo, d.st.TypeName)
 		}
 	}
 	// Pass 2: instruction shells (so cross-block forward references
@@ -175,11 +191,20 @@ func isWordByte(c byte) bool {
 	return c == '_' || c == '.' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
-// parseStruct parses "%name = type {ty field, ...}".
-func (p *moduleParser) parseStruct(l string, lineNo int) error {
+// structDecl is a declared struct whose body is parsed once every
+// struct name is known.
+type structDecl struct {
+	st     *StructType
+	body   string
+	lineNo int
+}
+
+// declareStruct registers the struct named by "%name = type {ty field,
+// ...}" and returns it with its unparsed body.
+func (p *moduleParser) declareStruct(l string, lineNo int) (structDecl, error) {
 	head, body, ok := strings.Cut(l, "= type")
 	if !ok {
-		return fmt.Errorf("line %d: bad struct %q", lineNo, l)
+		return structDecl{}, fmt.Errorf("line %d: bad struct %q", lineNo, l)
 	}
 	name := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(head), "%"))
 	body = strings.TrimSpace(body)
@@ -187,16 +212,21 @@ func (p *moduleParser) parseStruct(l string, lineNo int) error {
 	body = strings.TrimSuffix(body, "}")
 	st := &StructType{TypeName: name}
 	if err := p.mod.AddStruct(st); err != nil {
-		return fmt.Errorf("line %d: %w", lineNo, err)
+		return structDecl{}, fmt.Errorf("line %d: %w", lineNo, err)
 	}
-	if strings.TrimSpace(body) == "" {
+	return structDecl{st: st, body: body, lineNo: lineNo}, nil
+}
+
+// parseStructBody parses a declared struct's fields.
+func (p *moduleParser) parseStructBody(d structDecl) error {
+	if strings.TrimSpace(d.body) == "" {
 		return nil
 	}
-	for _, fieldStr := range splitTopLevel(body, ',') {
+	for _, fieldStr := range splitTopLevel(d.body, ',') {
 		fieldStr = strings.TrimSpace(fieldStr)
 		ty, rest, err := p.parseType(fieldStr)
 		if err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
+			return fmt.Errorf("line %d: %w", d.lineNo, err)
 		}
 		fname := strings.TrimSpace(rest)
 		// Qualifiers printed after the name.
@@ -209,7 +239,7 @@ func (p *moduleParser) parseStruct(l string, lineNo int) error {
 			f.Volatile = true
 			f.Name = strings.TrimSuffix(f.Name, " volatile")
 		}
-		st.Fields = append(st.Fields, f)
+		d.st.Fields = append(d.st.Fields, f)
 	}
 	return nil
 }

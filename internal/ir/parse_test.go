@@ -159,6 +159,9 @@ func TestParseErrors(t *testing.T) {
 		{"branch to nowhere", "define void @f() {\nentry:\n  br label %missing\n}\n"},
 		{"bad mark", "define void @f() {\nentry:\n  fence seq_cst ; [wat]\n  ret void\n}\n"},
 		{"dup register", "define void @f() {\nentry:\n  %t0 = add 1, 2\n  %t0 = add 1, 2\n  ret void\n}\n"},
+		{"struct contains itself", "%a = type {i64 n, %a self}\n"},
+		{"struct contains itself through an array", "%a = type {[2 x %a] selves}\n"},
+		{"structs contain each other", "%a = type {%b b}\n%b = type {i64 n, %a a}\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -186,5 +189,34 @@ entry:
 	}
 	if !strings.Contains(m.String(), "load i64, @x") {
 		t.Fatal("reprint lost content")
+	}
+}
+
+// TestParseStructForwardRef: the printer orders structs by name, so a
+// struct field may name a struct printed further down; the printed
+// module must parse back and print the same. A struct may point to
+// itself.
+func TestParseStructForwardRef(t *testing.T) {
+	const text = `; module fwd
+%box = type {[2 x %pair] pairs, ptr %box next}
+%pair = type {i64 lo, i64 hi}
+@b = global %box
+
+define i64 @hi() {
+entry:
+  %t0 = getelementptr %box, @b, field 0, index 1, field 1
+  %t1 = load i64, %t0
+  ret %t1
+}
+`
+	m, err := ParseModule(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.String(); got != text {
+		t.Fatalf("reprint differs:\n%s", got)
+	}
+	if n := m.Structs["box"].Cells(); n != 5 {
+		t.Fatalf("%%box is %d cells, want 5", n)
 	}
 }

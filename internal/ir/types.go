@@ -13,11 +13,6 @@
 // exact without byte-level complexity.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Type is the interface implemented by all AIR types.
 type Type interface {
 	// String returns the textual form of the type (e.g. "i64", "ptr i64").
@@ -33,7 +28,7 @@ type IntType struct {
 	Bits int
 }
 
-func (t *IntType) String() string { return fmt.Sprintf("i%d", t.Bits) }
+func (t *IntType) String() string { return string(appendType(nil, t)) }
 
 // Cells returns 1: every integer occupies one memory cell.
 func (t *IntType) Cells() int { return 1 }
@@ -43,7 +38,7 @@ type PtrType struct {
 	Elem Type
 }
 
-func (t *PtrType) String() string { return "ptr " + t.Elem.String() }
+func (t *PtrType) String() string { return string(appendType(nil, t)) }
 
 // Cells returns 1: pointers are scalar cell addresses.
 func (t *PtrType) Cells() int { return 1 }
@@ -98,25 +93,39 @@ func (t *StructType) FieldIndex(name string) int {
 	return -1
 }
 
-// Layout returns the textual definition of the struct (parseable by
-// ParseModule).
-func (t *StructType) Layout() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%%%s = type {", t.TypeName)
-	for i, f := range t.Fields {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s %s", f.Type, f.Name)
-		if f.Volatile {
-			b.WriteString(" volatile")
-		}
-		if f.Atomic {
-			b.WriteString(" atomic")
+// Recursive reports whether t contains itself by value, through a
+// field or an array element (a pointer breaks the chain). Such a struct
+// has no finite size, so the frontend and the parser reject it.
+func (t *StructType) Recursive() bool {
+	seen := make(map[*StructType]bool)
+	for _, f := range t.Fields {
+		if containsByValue(f.Type, t, seen) {
+			return true
 		}
 	}
-	b.WriteString("}")
-	return b.String()
+	return false
+}
+
+// containsByValue reports whether ty holds target by value.
+func containsByValue(ty Type, target *StructType, seen map[*StructType]bool) bool {
+	switch x := ty.(type) {
+	case *ArrayType:
+		return containsByValue(x.Elem, target, seen)
+	case *StructType:
+		if x == target {
+			return true
+		}
+		if seen[x] {
+			return false
+		}
+		seen[x] = true
+		for _, f := range x.Fields {
+			if containsByValue(f.Type, target, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ArrayType is a fixed-length sequence of Elem values.
@@ -125,7 +134,7 @@ type ArrayType struct {
 	Len  int
 }
 
-func (t *ArrayType) String() string { return fmt.Sprintf("[%d x %s]", t.Len, t.Elem) }
+func (t *ArrayType) String() string { return string(appendType(nil, t)) }
 
 // Cells returns Len copies of the element size.
 func (t *ArrayType) Cells() int { return t.Len * t.Elem.Cells() }

@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // Value is anything that can appear as an instruction operand: constants,
 // globals, function parameters, and instruction results.
 type Value interface {
@@ -23,8 +21,11 @@ func Const(v int64) *ConstInt { return &ConstInt{Ty: I64, V: v} }
 // ConstOf returns a constant of the given integer type.
 func ConstOf(t *IntType, v int64) *ConstInt { return &ConstInt{Ty: t, V: v} }
 
-func (c *ConstInt) Type() Type      { return c.Ty }
-func (c *ConstInt) Operand() string { return fmt.Sprintf("%d", c.V) }
+func (c *ConstInt) Type() Type { return c.Ty }
+func (c *ConstInt) Operand() string {
+	var buf [24]byte
+	return string(appendOperand(buf[:0], c))
+}
 
 // Global is a module-level variable. Its value as an operand is the
 // address of its storage (type: pointer to Elem).

@@ -46,16 +46,29 @@ func verifyFunc(m *Module, f *Func) error {
 	for _, b := range f.Blocks {
 		blocks[b] = true
 	}
-	seen := make(map[int]bool)
+	// IDs below the function's watermark index a slice; any other ID
+	// (a hand-built function that bypassed NextID) falls back to a map.
+	seen := make([]bool, f.nextID)
+	var seenOther map[int]bool
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("block %%%s is empty", b.Name)
 		}
 		for i, in := range b.Instrs {
-			if seen[in.ID] {
-				return fmt.Errorf("duplicate instruction id %%t%d", in.ID)
+			if in.ID >= 0 && in.ID < len(seen) {
+				if seen[in.ID] {
+					return fmt.Errorf("duplicate instruction id %%t%d", in.ID)
+				}
+				seen[in.ID] = true
+			} else {
+				if seenOther[in.ID] {
+					return fmt.Errorf("duplicate instruction id %%t%d", in.ID)
+				}
+				if seenOther == nil {
+					seenOther = make(map[int]bool)
+				}
+				seenOther[in.ID] = true
 			}
-			seen[in.ID] = true
 			if in.Blk != b {
 				return fmt.Errorf("instruction %%t%d has wrong parent block", in.ID)
 			}

@@ -91,6 +91,11 @@ func (c *compiler) compileFile(f *File) error {
 			})
 		}
 	}
+	for _, sd := range f.Structs {
+		if c.structs[sd.Name].Recursive() {
+			return fmt.Errorf("line %d: struct %s contains itself", sd.Line, sd.Name)
+		}
+	}
 	for _, vd := range f.Globals {
 		if err := c.compileGlobal(vd); err != nil {
 			return err

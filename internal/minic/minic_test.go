@@ -368,6 +368,8 @@ func TestCompileErrors(t *testing.T) {
 		{"unknown struct", "struct nope *p;", "unknown struct"},
 		{"spawn non-func", "void f(void) { spawn(42); }", "must name a function"},
 		{"assign to call", "void g(void) {} void f(void) { g() = 1; }", "not assignable"},
+		{"struct contains itself", "struct s { int n; struct s inner; }; struct s g; int f(void) { return g.n; }", "struct s contains itself"},
+		{"structs contain each other", "struct a { struct b b; }; struct b { int n; struct a a; };", "contains itself"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

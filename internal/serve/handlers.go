@@ -12,6 +12,7 @@ import (
 	"repro/internal/atomig"
 	"repro/internal/mc"
 	"repro/internal/memmodel"
+	"repro/internal/obs"
 	"repro/internal/stress"
 	"repro/internal/weaken"
 )
@@ -36,8 +37,9 @@ func (s *Server) opLoad(ctx context.Context, req *Request) *Response {
 	return &Response{OK: true, Module: sess.base.Name, Funcs: len(sess.base.Funcs)}
 }
 
-// opEdit applies a delta batch to the session's module.
-func (s *Server) opEdit(ctx context.Context, req *Request, sess *session) *Response {
+// opEdit applies a delta batch to the session's module, tracing its
+// phases on trk.
+func (s *Server) opEdit(ctx context.Context, req *Request, sess *session, trk *obs.Track) *Response {
 	if sess == nil {
 		return errResp(ErrNoModule, "no module loaded in session %q", sessionName(req))
 	}
@@ -47,7 +49,7 @@ func (s *Server) opEdit(ctx context.Context, req *Request, sess *session) *Respo
 	if ctx.Err() != nil {
 		return errResp("", "edit: %v", ctx.Err())
 	}
-	if err := sess.edit(req.Replace, req.Remove); err != nil {
+	if err := sess.edit(req.Replace, req.Remove, trk); err != nil {
 		return errResp(ErrBadRequest, "edit: %v", err)
 	}
 	sess.mu.RLock()

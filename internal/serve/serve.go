@@ -550,7 +550,7 @@ func (s *Server) handle(req *Request, slot int, send func(*Response)) {
 
 	trk := s.opts.Obs.Track(fmt.Sprintf("serve.slot-%02d", slot))
 	sp := trk.Begin("serve.request").Arg("op", req.Op).Arg("id", req.ID).Arg("rid", rid)
-	resp := s.execute(ctx, req, rid)
+	resp := s.execute(ctx, req, rid, trk)
 	sp.Arg("ok", resp.OK).End()
 	if h := s.opDur[req.Op]; h != nil {
 		h.Observe(time.Since(start).Microseconds())
@@ -573,8 +573,9 @@ func (s *Server) handle(req *Request, slot int, send func(*Response)) {
 // execute dispatches one request with panic containment: a crash in
 // any handler returns a structured internal error and evicts the
 // session's detection cache (it may hold entries published by the
-// crashed worker), leaving the daemon healthy.
-func (s *Server) execute(ctx context.Context, req *Request, rid string) (resp *Response) {
+// crashed worker), leaving the daemon healthy. trk is the request
+// slot's track; handlers open their child spans on it.
+func (s *Server) execute(ctx context.Context, req *Request, rid string, trk *obs.Track) (resp *Response) {
 	sess := s.lookup(req.Session)
 	defer func() {
 		if r := recover(); r != nil {
@@ -600,7 +601,7 @@ func (s *Server) execute(ctx context.Context, req *Request, rid string) (resp *R
 	case "load":
 		return s.opLoad(ctx, req)
 	case "edit":
-		return s.opEdit(ctx, req, sess)
+		return s.opEdit(ctx, req, sess, trk)
 	case "port":
 		return s.opPort(ctx, req, sess)
 	case "dump":

@@ -22,6 +22,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/leakcheck"
 	"repro/internal/minic"
+	"repro/internal/obs"
 )
 
 // rwPair glues two pipe halves into the io.ReadWriter ServeConn wants.
@@ -373,6 +374,63 @@ func TestSessionsAreIndependent(t *testing.T) {
 	}
 
 	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
+}
+
+// TestEditTraceSpans: a traced edit records its four phases —
+// serve.edit_apply, serve.edit_verify, serve.edit_inline and
+// serve.edit_key — as children of its serve.request span on the
+// request slot's track, and edits that fail in apply or in verify
+// still leave a well-formed trace.
+func TestEditTraceSpans(t *testing.T) {
+	leakcheck.Check(t)
+	prov := obs.NewTracing()
+	_, c := startServer(t, Options{Obs: prov})
+	mustOK(t, c.call(&Request{ID: "l", Op: "load", Name: "m.air", Lang: "air",
+		Source: "@g = global i64\ndefine i64 @get() {\nentry:\n  %t0 = load i64, @g\n  ret %t0\n}\n" +
+			"define i64 @use() {\nentry:\n  %t0 = call i64 @get()\n  ret %t0\n}\n"}))
+	mustOK(t, c.call(&Request{ID: "e", Op: "edit", Replace: []string{"define i64 @get() {\nentry:\n  ret 7\n}\n"}}))
+	if r := c.call(&Request{ID: "e-apply", Op: "edit", Remove: []string{"nosuch"}}); r.OK {
+		t.Fatal("removing a missing function succeeded")
+	}
+	if r := c.call(&Request{ID: "e-verify", Op: "edit", Remove: []string{"get"}}); r.OK {
+		t.Fatal("removing a called function succeeded")
+	}
+
+	data, err := obs.EncodeTrace(prov.Tracer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateTrace(data); err != nil {
+		t.Fatalf("edit trace: %v", err)
+	}
+	parents := make(map[string]map[string]int) // span -> parent -> count
+	stacks := make(map[int][]string)
+	for _, ev := range prov.Tracer.Events() {
+		switch ev.Ph {
+		case "B":
+			st := stacks[ev.TID]
+			parent := ""
+			if len(st) > 0 {
+				parent = st[len(st)-1]
+			}
+			if parents[ev.Name] == nil {
+				parents[ev.Name] = make(map[string]int)
+			}
+			parents[ev.Name][parent]++
+			stacks[ev.TID] = append(st, ev.Name)
+		case "E":
+			stacks[ev.TID] = stacks[ev.TID][:len(stacks[ev.TID])-1]
+		}
+	}
+	// Three edits open apply; two get past it to verify; one passes
+	// verification and rebuilds. The load's rebuild is untraced.
+	for name, want := range map[string]int{
+		"serve.edit_apply": 3, "serve.edit_verify": 2, "serve.edit_inline": 1, "serve.edit_key": 1,
+	} {
+		if got := parents[name]; len(got) != 1 || got["serve.request"] != want {
+			t.Errorf("span %s parents %v, want %d under serve.request", name, got, want)
+		}
+	}
 }
 
 // TestOptimizeSaltFlip is the regression for the optimize/cache-salt

@@ -96,7 +96,7 @@ func newSession(name, source, lang string, workers int, prov *obs.Provider) (*se
 		return nil, fmt.Errorf("unknown lang %q (want c or air)", lang)
 	}
 	s := &session{name: name, base: m, cache: atomig.NewMemCache()}
-	if err := s.rebuild(); err != nil {
+	if err := s.rebuild(nil); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -115,20 +115,26 @@ func langOf(lang, name string) string {
 }
 
 // rebuild recomputes the analyzed snapshot and its function hashes
-// from base. Called under the write lock (or before publication).
-func (s *session) rebuild() error {
+// from base, tracing the inline and key phases on trk (nil: untraced).
+// Called under the write lock (or before publication).
+func (s *session) rebuild(trk *obs.Track) error {
+	sp := trk.Begin("serve.edit_inline")
 	snap, err := ir.CloneModule(s.base)
+	if err == nil {
+		analysis.Inline(snap, atomig.DefaultOptions().InlineOptions)
+	}
+	sp.End()
 	if err != nil {
 		return err
 	}
-	popts := portOptions(s.optSalt)
-	analysis.Inline(snap, atomig.DefaultOptions().InlineOptions)
+	sp = trk.Begin("serve.edit_key").Arg("funcs", len(snap.Funcs))
 	s.snap = snap
-	s.salt = atomig.CacheSalt(snap, popts)
+	s.salt = atomig.CacheSalt(snap, portOptions(s.optSalt))
 	s.hashes = make([]string, len(snap.Funcs))
 	for i, f := range snap.Funcs {
 		s.hashes[i] = atomig.FuncKey(s.salt, f)
 	}
+	sp.End()
 	return nil
 }
 
@@ -136,34 +142,51 @@ func (s *session) rebuild() error {
 // whole batch lands on a clone, is verified, and only then replaces
 // the session's module; any failure leaves the session untouched.
 // Struct or global changes are not expressible as deltas — reload the
-// module instead (docs/SERVE.md).
-func (s *session) edit(replace []string, remove []string) error {
+// module instead (docs/SERVE.md). Each phase is a child span on trk:
+// serve.edit_apply, serve.edit_verify, then rebuild's
+// serve.edit_inline and serve.edit_key.
+func (s *session) edit(replace []string, remove []string, trk *obs.Track) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next, err := ir.CloneModule(s.base)
+	sp := trk.Begin("serve.edit_apply")
+	next, err := s.applyDeltas(replace, remove)
+	sp.End()
 	if err != nil {
 		return err
+	}
+	sp = trk.Begin("serve.edit_verify")
+	err = ir.Verify(next)
+	sp.End()
+	if err != nil {
+		return fmt.Errorf("delta leaves module invalid: %w", err)
+	}
+	s.base = next
+	return s.rebuild(trk)
+}
+
+// applyDeltas returns a clone of base with the replacements and
+// removals applied.
+func (s *session) applyDeltas(replace []string, remove []string) (*ir.Module, error) {
+	next, err := ir.CloneModule(s.base)
+	if err != nil {
+		return nil, err
 	}
 	header := s.base.HeaderString()
 	for i, text := range replace {
 		f, err := parseFuncDelta(header, text)
 		if err != nil {
-			return fmt.Errorf("replace[%d]: %w", i, err)
+			return nil, fmt.Errorf("replace[%d]: %w", i, err)
 		}
 		if err := next.ReplaceFunc(f); err != nil {
-			return fmt.Errorf("replace[%d] @%s: %w", i, f.Name, err)
+			return nil, fmt.Errorf("replace[%d] @%s: %w", i, f.Name, err)
 		}
 	}
 	for _, name := range remove {
 		if !next.RemoveFunc(name) {
-			return fmt.Errorf("remove @%s: no such function", name)
+			return nil, fmt.Errorf("remove @%s: no such function", name)
 		}
 	}
-	if err := ir.Verify(next); err != nil {
-		return fmt.Errorf("delta leaves module invalid: %w", err)
-	}
-	s.base = next
-	return s.rebuild()
+	return next, nil
 }
 
 // parseFuncDelta parses one AIR function definition against the
@@ -219,7 +242,7 @@ func (s *session) setOptimize(salt string) error {
 	}
 	s.optSalt = salt
 	s.opt = nil
-	return s.rebuild()
+	return s.rebuild(nil)
 }
 
 // optKey keys the optimize memo: the active configuration plus the
